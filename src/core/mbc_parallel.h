@@ -1,12 +1,14 @@
 // Copyright 2026 The balanced-clique Authors.
 //
 // Parallel MBC*: a multi-threaded variant of Algorithm 2 (an extension —
-// the paper's algorithm is sequential). The per-vertex dichromatic-network
-// searches are independent, so they parallelize as a task pool; this
-// engine schedules them with per-worker Chase–Lev deques (work stealing),
-// splits heavy ego networks at the top-level MDC branching frontier into
-// per-branch subtasks, and threads one shared atomic incumbent through
-// every MdcSolver so late subproblems prune against the fleet-wide best.
+// the paper's algorithm is sequential), and the second entry point of the
+// MBC* engine in mbc_star.cc. It shares MBC*'s preamble, per-network
+// pruning and incumbent; the per-vertex dichromatic-network searches are
+// independent, so it schedules them with per-worker Chase–Lev deques
+// (work stealing), splits heavy ego networks at the top-level MDC
+// branching frontier into per-branch subtasks, and threads the shared
+// atomic incumbent through every MdcSolver so late subproblems prune
+// against the fleet-wide best.
 //
 // Determinism: the result is byte-identical across thread counts and
 // schedules. Workers run the MDC kernel in tie-preserving mode (no bound

@@ -6,6 +6,12 @@
 // the vertices, processed in reverse degeneracy order. Each network both
 // removes edge signs and sparsifies the edge set, which makes the classic
 // degree-based pruning and coloring upper bound effective.
+//
+// One engine (mbc_star.cc) has two entry points: MaxBalancedCliqueStar
+// below runs the vertex loop on the calling thread, and
+// ParallelMaxBalancedCliqueStar (mbc_parallel.h) schedules the same
+// per-vertex searches over work-stealing workers. Both share the
+// preamble, the per-network pruning and the incumbent.
 #ifndef MBC_CORE_MBC_STAR_H_
 #define MBC_CORE_MBC_STAR_H_
 

@@ -108,14 +108,6 @@ class MdcSolver {
   }
 
   void SetOptions(const MdcOptions& options) { options_ = options; }
-  /// Ablation switches (both default on; used by bench_ablation_pruning
-  /// to quantify each bound's contribution).
-  void set_use_core_pruning(bool enabled) {
-    options_.use_core_pruning = enabled;
-  }
-  void set_use_coloring_bound(bool enabled) {
-    options_.use_coloring_bound = enabled;
-  }
 
   /// Scratch bytes currently held by the solver's arena.
   size_t ArenaMemoryBytes() const { return arena_.MemoryBytes(); }

@@ -317,6 +317,7 @@ Result<DeltaSignedGraph::Patch> DeltaSignedGraph::Apply(
     stats.delta_bytes = 0;
     stats.delta_ratio = 0;
   }
+  content_addressed_ = stats.compacted;
   stats.fingerprint = fingerprint_;
   patch.graph.SetFingerprintHint(fingerprint_);
   return patch;
@@ -325,11 +326,12 @@ Result<DeltaSignedGraph::Patch> DeltaSignedGraph::Apply(
 DeltaSignedGraph::CompactOutcome DeltaSignedGraph::Compact(
     const SignedGraph& head) {
   CompactOutcome outcome;
-  if (overlay_.empty()) {
+  if (content_addressed_) {
     outcome.fingerprint = fingerprint_;
     return outcome;
   }
   fingerprint_ = FingerprintSignedGraph(head);
+  content_addressed_ = true;
   overlay_.clear();
   base_edges_ = head.NumEdges();
   outcome.fingerprint = fingerprint_;

@@ -100,7 +100,8 @@ struct DeltaApplyResult {
 class DeltaSignedGraph {
  public:
   /// `base_fingerprint` / `base_version` describe the snapshot the first
-  /// Apply() will patch; `base_edges` sizes the compaction ratio.
+  /// Apply() will patch (`base_fingerprint` must be its content
+  /// fingerprint); `base_edges` sizes the compaction ratio.
   DeltaSignedGraph(uint64_t base_fingerprint, uint64_t base_version,
                    EdgeCount base_edges);
 
@@ -119,12 +120,15 @@ class DeltaSignedGraph {
 
   struct CompactOutcome {
     uint64_t fingerprint = 0;  ///< Content fingerprint of `head`.
-    bool changed = false;      ///< False when the log was already empty.
+    bool changed = false;  ///< False when already content-addressed.
   };
 
   /// Forced compaction: recomputes the true content fingerprint of `head`
   /// (O(m)), clears the log and re-bases the ratio denominator. No-op
-  /// (returning the current fingerprint) when the log is empty.
+  /// (returning the current fingerprint) when the fingerprint already is
+  /// the content fingerprint — an empty log is not enough, since a batch
+  /// that undoes its predecessor empties the log but leaves a derived
+  /// fingerprint.
   CompactOutcome Compact(const SignedGraph& head);
 
   uint64_t version() const { return version_; }
@@ -145,6 +149,9 @@ class DeltaSignedGraph {
 
   uint64_t version_ = 0;
   uint64_t fingerprint_ = 0;
+  /// True while fingerprint_ is the head's content fingerprint: at
+  /// construction and after a compaction, until the next effective batch.
+  bool content_addressed_ = true;
   EdgeCount base_edges_ = 0;
 
   /// Net log: edge key -> state the *base* had. An entry exists iff the

@@ -130,7 +130,7 @@ TEST(MdcSolverTest, CliqueShortcutGateOnLargePools) {
   EXPECT_GT(gated.branches(), 1u);
 
   MdcSolver unconditional(graph);
-  unconditional.set_use_coloring_bound(false);
+  unconditional.SetOptions({true, false});
   best.clear();
   ASSERT_TRUE(
       unconditional.Solve({0}, graph.AdjacencyOf(0), -5, -5, 0, &best));

@@ -230,6 +230,37 @@ TEST(DeltaGraphTest, ForcedCompactConvergesWithFreshLoadFingerprint) {
   EXPECT_FALSE(log.Compact(patch.value().graph).changed);
 }
 
+// A batch that undoes its predecessor empties the log but leaves the
+// derived lineage fingerprint on the head: a forced compaction must still
+// re-fingerprint it by content.
+TEST(DeltaGraphTest, CompactAfterNetZeroDriftRestoresContentFingerprint) {
+  EdgeMap edges = {{{0, 1}, Sign::kPositive}, {{1, 2}, Sign::kNegative}};
+  SignedGraph head = Materialize(4, edges);
+  const uint64_t base_fp = FingerprintSignedGraph(head);
+  DeltaSignedGraph log(base_fp, 0, head.NumEdges());
+
+  DeltaBudget loose;
+  loose.compact_ratio = 100.0;
+  MutationBatch add;
+  add.add.push_back({2, 3, Sign::kPositive});
+  auto added = log.Apply(head, add, loose);
+  ASSERT_TRUE(added.ok());
+  MutationBatch remove;
+  remove.remove.push_back({2, 3});
+  auto removed = log.Apply(added.value().graph, remove, loose);
+  ASSERT_TRUE(removed.ok());
+  ASSERT_EQ(log.overlay_entries(), 0u);
+  ASSERT_NE(log.fingerprint(), base_fp);
+
+  const auto compacted = log.Compact(removed.value().graph);
+  EXPECT_TRUE(compacted.changed);
+  // Same content as a fresh load of the base edges.
+  EXPECT_EQ(compacted.fingerprint,
+            FingerprintSignedGraph(Materialize(4, edges)));
+  EXPECT_EQ(log.fingerprint(), compacted.fingerprint);
+  EXPECT_FALSE(log.Compact(removed.value().graph).changed);
+}
+
 TEST(DeltaGraphTest, AddCliqueBoundCoversCommonNeighborhood) {
   // 0 and 1 share common neighbors {2, 3} (mixed signs); adding the edge
   // {0, 1} can create cliques of size at most 2 + 2.

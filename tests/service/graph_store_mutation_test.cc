@@ -11,6 +11,7 @@
 #include "src/common/fingerprint.h"
 #include "src/common/status.h"
 #include "src/service/graph_store.h"
+#include "src/service/query_service.h"
 #include "tests/test_util.h"
 
 namespace mbc {
@@ -144,6 +145,47 @@ TEST(GraphStoreMutationTest, CompactRewritesToContentFingerprint) {
   ASSERT_TRUE(second.ok());
   EXPECT_FALSE(second.value().changed);
   EXPECT_EQ(second.value().fingerprint, first.value().fingerprint);
+}
+
+// Add-then-remove: the store's head returns to the loaded content but
+// carries a derived fingerprint. Snapshot must compact it back to the
+// content fingerprint a fresh load gets, and re-key the cache entries
+// stored under the derived one.
+TEST(GraphStoreMutationTest, SnapshotAfterNetZeroDriftCompacts) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  QueryService service(options);
+  const SignedGraph base = testing_util::RandomSignedGraph(40, 200, 0.3, 7);
+  const uint64_t content_fp = FingerprintSignedGraph(base);
+  ASSERT_TRUE(service.store().Load("g", SignedGraph(base)).ok());
+
+  VertexId u = 0;
+  VertexId v = 1;
+  while (base.EdgeSign(u, v).has_value()) ++v;
+  ASSERT_TRUE(service.MutateGraph("g", AddBatch(u, v)).ok());
+  const auto undo = service.MutateGraph("g", RemoveBatch(u, v));
+  ASSERT_TRUE(undo.ok());
+  ASSERT_FALSE(undo.value().compacted);
+  ASSERT_NE(service.store().Find("g").value()->fingerprint(), content_fp);
+
+  QueryRequest request;
+  request.graph = "g";
+  request.kind = QueryKind::kMbc;
+  request.tau = 1;
+  const QueryResponse solved = service.Query(request);
+  ASSERT_TRUE(solved.status.ok());
+
+  const auto snap = service.SnapshotGraph("g");
+  ASSERT_TRUE(snap.ok());
+  EXPECT_TRUE(snap.value().compacted);
+  EXPECT_EQ(snap.value().fingerprint, content_fp);
+  EXPECT_EQ(service.store().Find("g").value()->fingerprint(), content_fp);
+  EXPECT_EQ(snap.value().cache_rekeyed, 1u);
+  const QueryResponse hit = service.Query(request);
+  ASSERT_TRUE(hit.status.ok());
+  EXPECT_TRUE(hit.cached);
+  EXPECT_EQ(hit.result.clique.left, solved.result.clique.left);
+  EXPECT_EQ(hit.result.clique.right, solved.result.clique.right);
 }
 
 TEST(GraphStoreMutationTest, ConcurrentMutationsOfOneNameSerialize) {
