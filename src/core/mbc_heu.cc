@@ -18,9 +18,8 @@ namespace {
 /// Alternating-side greedy growth (Algorithm 3 Lines 5-7) from the current
 /// clique state. Consumes `*candidates`; members join `*members` and the
 /// side counters. Without `rng` the first max-degree candidate (ascending
-/// local id) wins — the paper's deterministic rule, and the exact behavior
-/// of the original MbcHeuristicAt loop. With `rng`, ties among max-degree
-/// candidates of the chosen side break uniformly at random (the
+/// local id) wins — the paper's deterministic rule. With `rng`, ties among
+/// max-degree candidates of the chosen side break uniformly at random (the
 /// local-search move randomization); `ties` is caller-owned scratch.
 void GrowAlternating(const DichromaticGraph& g, Bitset* candidates,
                      Bitset* members, size_t* left_size, size_t* right_size,
@@ -84,9 +83,20 @@ BalancedClique MaterializeLocal(const DichromaticNetwork& net,
   return result;
 }
 
-/// The five degree/polar anchors of MbcHeuristic (see the comments there).
-void DegreeAndPolarAnchors(const SignedGraph& graph,
-                           std::vector<VertexId>* anchors) {
+/// The anchor pool, deduplicated in first-seen order (the pool is tiny).
+/// The paper anchors at the vertex with the largest min{d+(u), d-(u)}. We
+/// additionally try the vertices maximizing d+, d- and the total degree: a
+/// large balanced clique with skewed sides (e.g. TripAdvisor's 45|1871
+/// optimum) is anchored by a big-d+ or big-d- member rather than a
+/// balanced one, and a greedy run costs only O(m). The raw-degree anchors
+/// can all be "saturated hubs" whose neighborhoods hold no large balanced
+/// clique, so the vertex of maximum polar-core number pn (Lemma 5, the
+/// principled anchor for a *balanced* core) rides along; one O(m)
+/// decomposition buys it. Then the last `degeneracy_anchors` vertices of
+/// the peeling order: they live in the region of highest core numbers,
+/// the natural place to grow a large dichromatic neighborhood.
+std::vector<VertexId> AnchorPool(const SignedGraph& graph,
+                                 uint32_t degeneracy_anchors) {
   const VertexId n = graph.NumVertices();
   VertexId by_min = 0;
   VertexId by_pos = 0;
@@ -125,70 +135,34 @@ void DegreeAndPolarAnchors(const SignedGraph& graph,
       by_polar = v;
     }
   }
-  for (VertexId anchor : {by_min, by_pos, by_neg, by_total, by_polar}) {
-    anchors->push_back(anchor);
+  std::vector<VertexId> anchors = {by_min, by_pos, by_neg, by_total,
+                                   by_polar};
+  if (degeneracy_anchors > 0) {
+    const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
+    const size_t take = std::min<size_t>(degeneracy_anchors, n);
+    for (size_t i = 0; i < take; ++i) {
+      anchors.push_back(degeneracy.order[n - 1 - i]);
+    }
   }
+  std::vector<VertexId> unique;
+  unique.reserve(anchors.size());
+  for (VertexId anchor : anchors) {
+    if (std::find(unique.begin(), unique.end(), anchor) == unique.end()) {
+      unique.push_back(anchor);
+    }
+  }
+  return unique;
 }
 
 }  // namespace
 
-BalancedClique MbcHeuristicAt(const SignedGraph& graph, VertexId anchor,
-                              uint32_t tau, ExecutionContext* exec) {
-  DichromaticNetworkBuilder builder(graph);
-  // Full neighborhood: no ordering filter, no alive filter.
-  const DichromaticNetwork net = builder.Build(anchor);
-  const DichromaticGraph& g = net.graph;
-  const uint32_t k = g.NumVertices();
-  if (k == 0) return BalancedClique{};  // unreachable: the net holds anchor
-
-  // Growing clique; local vertex 0 (= anchor) is an L-vertex.
-  Bitset members(k);
-  members.Set(0);
-  size_t left_size = 1;
-  size_t right_size = 0;
-
-  // Candidates: vertices adjacent to every clique member.
-  Bitset candidates(k);
-  candidates.SetAll();
-  candidates.Reset(0);
-  candidates &= g.AdjacencyOf(0);
-
-  GrowAlternating(g, &candidates, &members, &left_size, &right_size,
-                  /*rng=*/nullptr, /*ties=*/nullptr, exec);
-
-  BalancedClique result = MaterializeLocal(net, members);
-  if (!result.SatisfiesThreshold(tau)) return BalancedClique{};
-  return result;
-}
-
 BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
                             ExecutionContext* exec) {
-  const VertexId n = graph.NumVertices();
-  if (n == 0) return BalancedClique{};
-  // The paper anchors at the vertex with the largest min{d+(u), d-(u)}.
-  // We additionally try the vertices maximizing d+, d- and the total
-  // degree: a large balanced clique with skewed sides (e.g. TripAdvisor's
-  // 45|1871 optimum) is anchored by a big-d+ or big-d- member rather than
-  // a balanced one, and a greedy run costs only O(m). The raw-degree
-  // anchors can all be "saturated hubs" whose neighborhoods hold no large
-  // balanced clique, so the vertex of maximum polar-core number pn
-  // (Lemma 5, the principled anchor for a *balanced* core) rides along;
-  // one O(m) decomposition buys it.
-  std::vector<VertexId> anchors;
-  anchors.reserve(5);
-  DegreeAndPolarAnchors(graph, &anchors);
-
-  // The first anchor always runs to completion: the greedy is the O(m)
-  // fallback tier, so even a pre-expired budget yields a valid (possibly
-  // partial) clique rather than nothing. The probe between anchors bounds
-  // the overrun at one greedy pass.
-  BalancedClique best;
-  for (VertexId anchor : anchors) {
-    BalancedClique clique = MbcHeuristicAt(graph, anchor, tau, exec);
-    if (clique.size() > best.size()) best = std::move(clique);
-    if (exec != nullptr && exec->Probe()) break;
-  }
-  return best;
+  MbcHeuOptions options;
+  options.local_search_iterations = 0;
+  options.degeneracy_anchors = 0;
+  options.exec = exec;
+  return MbcHeuristicSearch(graph, tau, options).clique;
 }
 
 MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
@@ -203,31 +177,8 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
   };
   if (graph.NumVertices() == 0) return finish();
 
-  // ---- Anchor pool: degree/polar anchors + the densest tail of the
-  // degeneracy order (promoted from the brownout tier — the last vertices
-  // of the peeling order live in the region of highest core numbers, the
-  // natural place to grow a large dichromatic neighborhood).
-  std::vector<VertexId> anchors;
-  DegreeAndPolarAnchors(graph, &anchors);
-  if (options.degeneracy_anchors > 0) {
-    const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
-    const size_t n = degeneracy.order.size();
-    const size_t take = std::min<size_t>(options.degeneracy_anchors, n);
-    for (size_t i = 0; i < take; ++i) {
-      anchors.push_back(degeneracy.order[n - 1 - i]);
-    }
-  }
-  // Dedupe, preserving first-seen order (the pool is tiny).
-  {
-    std::vector<VertexId> unique;
-    unique.reserve(anchors.size());
-    for (VertexId anchor : anchors) {
-      if (std::find(unique.begin(), unique.end(), anchor) == unique.end()) {
-        unique.push_back(anchor);
-      }
-    }
-    anchors.swap(unique);
-  }
+  const std::vector<VertexId> anchors =
+      AnchorPool(graph, options.degeneracy_anchors);
 
   // ---- Per-anchor state, hoisted and arena-backed: after the largest
   // network has been seen, an entire anchor (greedy + every local-search
@@ -241,9 +192,10 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
 
   bool first_anchor = true;
   for (VertexId anchor : anchors) {
-    // The first anchor's greedy runs ungoverned: one O(m) pass is bounded
-    // work, and a degraded answer beats an empty one even when the budget
-    // is already expired (the interrupt still reports through stats).
+    // The first anchor's greedy always runs to completion: it is the O(m)
+    // fallback tier, so even an expired or cancelled context yields a valid
+    // lower bound rather than nothing (the interrupt still reports through
+    // stats). The probe between anchors bounds the overrun at one pass.
     ExecutionContext* grow_exec = first_anchor ? nullptr : exec;
     first_anchor = false;
     builder.BuildInto(anchor, nullptr, nullptr, &net);
@@ -257,7 +209,8 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
     Bitset& anchor_best = frame.remaining;
     Bitset& backup = scratch.cand;      // revert state for rejected moves
 
-    // Greedy seed (identical to MbcHeuristicAt).
+    // Greedy seed (Algorithm 3): grow from the anchor, local vertex 0, an
+    // L-vertex; candidates are the vertices adjacent to every member.
     members.Reshape(k);
     members.Set(0);
     size_t left_size = 1;
@@ -350,8 +303,6 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
     if (anchor_best_size > best.size()) {
       best = MaterializeLocal(net, anchor_best);
     }
-    // As in MbcHeuristic: the first anchor's greedy always completes, so
-    // a pre-expired budget still yields a valid lower bound.
     if (interrupted || exec->Probe()) break;
   }
 

@@ -2,20 +2,21 @@
 //
 // The heuristic tier: fast lower bounds for the maximum balanced clique.
 //
-// MbcHeuristic / MbcHeuristicAt are MBC-Heu (Algorithm 3): a linear-time
-// greedy that grows a balanced clique inside the dichromatic network of a
-// high-degree vertex, alternating sides to keep |C_L| and |C_R| balanced.
-// They seed the lower bound of MBC* (Line 2 of Algorithm 2) and PF*
-// (Line 1 of Algorithm 4).
-//
-// MbcHeuristicSearch is the first-class heuristic solver built on top of
-// the greedy (grounded in Ordozgoiti et al., arXiv:2002.00775): a wider
-// anchor pool (the paper's degree/polar anchors plus the densest vertices
-// of the degeneracy order, promoted from the service's brownout tier) and
-// a seeded bitset local search (drop-and-regrow swap/add moves over the
-// two sides of each anchor's dichromatic network, arena-backed). The
-// result is a valid balanced clique — a lower bound the exact solvers
-// warm-start from — never a certificate of optimality.
+// MBC-Heu (Algorithm 3) is a linear-time greedy that grows a balanced
+// clique inside the dichromatic network of an anchor vertex, alternating
+// sides to keep |C_L| and |C_R| balanced. MbcHeuristicSearch is its one
+// implementation: it runs the greedy from every vertex of an anchor pool
+// (the paper's degree/polar anchors plus the densest vertices of the
+// degeneracy order) on one hoisted network and arena, then optionally
+// refines each anchor's clique with a seeded bitset local search
+// (drop-and-regrow swap/add moves over the two sides of the network;
+// grounded in Ordozgoiti et al., arXiv:2002.00775). MbcHeuristic is the
+// greedy-only sweep over the degree/polar anchors, which seeds the lower
+// bound of MBC* (Line 2 of Algorithm 2) and PF* (Line 1 of Algorithm 4);
+// the service's brownout tier runs the same sweep per tau. The greedy
+// never reads tau: tau only filters each anchor's clique. The result is a
+// valid balanced clique — a lower bound the exact solvers warm-start
+// from — never a certificate of optimality.
 #ifndef MBC_CORE_MBC_HEU_H_
 #define MBC_CORE_MBC_HEU_H_
 
@@ -28,20 +29,17 @@
 
 namespace mbc {
 
-/// Runs the greedy heuristic anchored at the vertex with the largest
-/// min{d+(u), d-(u)} (the paper's implementation choice). Returns a
-/// balanced clique satisfying τ, or an empty clique if the greedy result
-/// violates the constraint. O(m) time and space. `exec` is the optional
-/// execution governor (deadline / cancellation / memory budget); on
-/// interrupt the best clique found so far is returned — still valid, at
-/// worst empty. nullptr disables governance.
+/// The greedy-only sweep: MbcHeuristicSearch with no local search and no
+/// degeneracy anchors, i.e. the greedy anchored at the vertex with the
+/// largest min{d+(u), d-(u)} (the paper's implementation choice) and at
+/// the maxima of d+, d-, d and the polar-core number. Returns the largest
+/// greedy clique satisfying τ, or an empty clique if none does. O(m) per
+/// anchor. `exec` is the optional execution governor; nullptr runs under
+/// a local, unlimited one (which fault injection still reaches). The
+/// first anchor always runs to completion, so an interrupted call still
+/// returns that anchor's clique when it satisfies τ.
 BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
                             ExecutionContext* exec = nullptr);
-
-/// As above, anchored at an explicit vertex (exposed for tests and the
-/// anchor-pool callers).
-BalancedClique MbcHeuristicAt(const SignedGraph& graph, VertexId anchor,
-                              uint32_t tau, ExecutionContext* exec = nullptr);
 
 /// Knobs for the heuristic-tier solver. The defaults are what the query
 /// service's `mbc_heu` kind runs, so they are part of the cache contract:
@@ -59,7 +57,8 @@ struct MbcHeuOptions {
   uint32_t local_search_iterations = 24;
 
   /// Degeneracy anchors (the densest tail of the peeling order) tried in
-  /// addition to the five degree/polar anchors of MbcHeuristic.
+  /// addition to the five degree/polar anchors of MbcHeuristic. The
+  /// defaults of this struct are also the defaults of `mbc_cli heu`.
   uint32_t degeneracy_anchors = 4;
 
   /// Wall-clock safety budget (unset = unlimited). Ignored when `exec`
@@ -93,7 +92,8 @@ struct MbcHeuResult {
 
 /// The heuristic-tier solver: greedy anchor pool + seeded local search.
 /// Deterministic for fixed (graph, tau, options.seed, iterations),
-/// whatever thread calls it.
+/// whatever thread calls it. The first anchor's greedy always completes,
+/// so an expired or cancelled context still yields a valid lower bound.
 MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
                                 const MbcHeuOptions& options = {});
 

@@ -1,95 +1,38 @@
 // Copyright 2026 The balanced-clique Authors.
 #include "src/service/degraded.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "src/core/mbc_heu.h"
-#include "src/graph/cores.h"
 
 namespace mbc {
-namespace {
-
-constexpr size_t kNumAnchors = 4;
-
-uint32_t MinSide(const BalancedClique& clique) {
-  return static_cast<uint32_t>(
-      std::min(clique.left.size(), clique.right.size()));
-}
-
-/// The last vertices of the peeling order live in the densest region of
-/// the graph (highest core numbers) — the natural anchor pool for a
-/// greedy that wants a large dichromatic neighborhood to grow in.
-std::vector<VertexId> DenseAnchors(const SignedGraph& graph) {
-  const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
-  std::vector<VertexId> anchors;
-  const size_t n = degeneracy.order.size();
-  const size_t take = std::min(kNumAnchors, n);
-  anchors.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    anchors.push_back(degeneracy.order[n - 1 - i]);
-  }
-  return anchors;
-}
-
-}  // namespace
 
 QueryResult ComputeDegradedResult(const SignedGraph& graph, QueryKind kind,
                                   uint32_t tau) {
   QueryResult result;
   if (graph.NumVertices() == 0) return result;
-  const std::vector<VertexId> anchors = DenseAnchors(graph);
+  // The heuristic tier with local search off: the greedy anchor-pool sweep
+  // (five degree/polar anchors plus the degeneracy tail), O(m) per anchor.
+  MbcHeuOptions options;
+  options.local_search_iterations = 0;
 
   if (kind == QueryKind::kMbc || kind == QueryKind::kMbcHeu ||
       kind == QueryKind::kMbcTol) {
-    // The promoted heuristic tier with local search off: exactly the
-    // historical brownout sweep (the five degree/polar anchors plus the
-    // degeneracy tail), O(m) per anchor. A balanced clique frustrates no
-    // edge, so the same lower bound serves the tolerant kind for any
-    // budget (result.frustrated stays 0).
-    MbcHeuOptions options;
-    options.local_search_iterations = 0;
-    options.degeneracy_anchors = kNumAnchors;
+    // A balanced clique frustrates no edge, so the same lower bound serves
+    // the tolerant kind for any budget (result.frustrated stays 0).
     result.clique = MbcHeuristicSearch(graph, tau, options).clique;
     return result;
   }
 
-  // PF / gMBC: the greedy clique with the largest min side certifies
-  // beta(G) >= min side (the same certificate PF* seeds its binary search
-  // with). tau = 1 keeps the greedy from collapsing to a one-sided clique.
-  BalancedClique widest = MbcHeuristic(graph, /*tau=*/1);
-  for (const VertexId anchor : anchors) {
-    BalancedClique candidate = MbcHeuristicAt(graph, anchor, /*tau=*/1);
-    if (MinSide(candidate) > MinSide(widest) ||
-        (MinSide(candidate) == MinSide(widest) &&
-         candidate.size() > widest.size())) {
-      widest = std::move(candidate);
+  // PF / gMBC: the gMBC sweep with the greedy in place of MBC*. A clique
+  // at tau certifies beta(G) >= tau, so beta is the last tau whose sweep
+  // returns a clique. Sizes are non-increasing in tau because the greedy
+  // never reads tau: each step only filters the same anchor cliques.
+  for (uint32_t t = 0;; ++t) {
+    const BalancedClique clique = MbcHeuristicSearch(graph, t, options).clique;
+    if (clique.empty()) break;
+    result.beta = t;
+    if (kind == QueryKind::kGmbc) {
+      result.gmbc_sizes.push_back(static_cast<uint32_t>(clique.size()));
     }
-  }
-  result.beta = MinSide(widest);
-  if (kind == QueryKind::kPf) return result;
-
-  // kGmbc: one greedy size per tau in [0, beta]. Every tau is satisfied
-  // by `widest` (min side >= beta >= tau), so each entry is at least its
-  // size; a per-tau greedy may still find something larger.
-  result.gmbc_sizes.reserve(result.beta + 1);
-  for (uint32_t t = 0; t <= result.beta; ++t) {
-    uint32_t size = static_cast<uint32_t>(widest.size());
-    BalancedClique at_tau = MbcHeuristic(graph, t);
-    size = std::max(size, static_cast<uint32_t>(at_tau.size()));
-    for (const VertexId anchor : anchors) {
-      BalancedClique candidate = MbcHeuristicAt(graph, anchor, t);
-      if (MinSide(candidate) >= t) {
-        size = std::max(size, static_cast<uint32_t>(candidate.size()));
-      }
-    }
-    result.gmbc_sizes.push_back(size);
-  }
-  // Exact gMBC sizes are non-increasing in tau; make the lower bounds
-  // honor the same shape (a bound valid at tau is valid below it).
-  for (size_t i = result.gmbc_sizes.size(); i-- > 1;) {
-    result.gmbc_sizes[i - 1] =
-        std::max(result.gmbc_sizes[i - 1], result.gmbc_sizes[i]);
   }
   return result;
 }

@@ -1,14 +1,14 @@
 // Copyright 2026 The balanced-clique Authors.
 //
-// The degraded answer tier served under brownout: a degeneracy-ordered
-// greedy lower bound instead of an exact search. Anchored MBC-Heu runs
-// (Algorithm 3 of the paper, O(m) each) at the densest vertices of the
-// degeneracy order produce a feasible balanced clique whose size lower-
-// bounds the exact MBC answer and whose min side lower-bounds beta(G) —
-// the same well-defined "cheap answer" structure the heuristic-tier
-// literature (Ordozgoiti et al., arXiv:2002.00775) builds on. A degraded
-// response is always tagged "degraded": true on the wire and cached under
-// a separate exactness tag, so it can never masquerade as an exact one.
+// The degraded answer tier served under brownout: the heuristic tier's
+// greedy anchor-pool sweep (MBC-Heu, Algorithm 3 of the paper, O(m) per
+// anchor, local search off) instead of an exact search. Its clique
+// lower-bounds the exact MBC answer, and the last tau at which it still
+// finds a clique lower-bounds beta(G) — the same well-defined "cheap
+// answer" structure the heuristic-tier literature (Ordozgoiti et al.,
+// arXiv:2002.00775) builds on. A degraded response is always tagged
+// "degraded": true on the wire and cached under a separate exactness tag,
+// so it can never masquerade as an exact one.
 #ifndef MBC_SERVICE_DEGRADED_H_
 #define MBC_SERVICE_DEGRADED_H_
 
@@ -23,10 +23,11 @@ namespace mbc {
 /// kMbcHeu / kMbcTol, whose degraded answer is the same greedy clique —
 /// a balanced clique frustrates no edge, so it is feasible under every
 /// tolerance budget): the best anchored greedy clique satisfying tau
-/// (possibly empty). kPf: beta lower bound = the largest min side over
-/// the greedy cliques. kGmbc: that beta bound plus a greedy |C| per tau
-/// in [0, beta]. Deterministic for a given graph; O(k * m) for a handful
-/// of anchors.
+/// (possibly empty). kPf / kGmbc: the sweep runs at tau = 0, 1, ... and
+/// stops at the first empty result; beta is the last tau that returned a
+/// clique, and kGmbc records the clique size at every tau in [0, beta].
+/// Deterministic for a given graph; O(k * m) per sweep for a handful of
+/// anchors.
 QueryResult ComputeDegradedResult(const SignedGraph& graph, QueryKind kind,
                                   uint32_t tau);
 

@@ -38,7 +38,7 @@ std::string NormalizedAlgo(const QueryRequest& request) {
 }
 
 /// Whether this request runs the intra-query parallel engine (assumes
-/// ValidateParallelRequest passed).
+/// ValidateRequest passed).
 bool IsParallelRequest(const QueryRequest& request) {
   return request.parallel_threads > 0 && request.kind == QueryKind::kMbc;
 }
@@ -62,42 +62,65 @@ std::string CacheAlgoLabel(const QueryRequest& request) {
   return label;
 }
 
-/// parallel_threads composes only with kind=mbc and the default (star)
-/// algorithm; "parallel" is not an algo label callers may spell directly
-/// (it would alias the parallel engine's cache entries).
-Status ValidateParallelRequest(const QueryRequest& request) {
+/// Rejects option combinations no engine runs. parallel_threads composes
+/// only with kind=mbc and the default (star) algorithm; "parallel" is not
+/// an algo label callers may spell directly (it would alias the parallel
+/// engine's cache entries). warm_start composes only with engines that
+/// accept an initial incumbent (MBC* and the parallel engine — both behind
+/// the default algo); its kind restriction is also enforced at the
+/// protocol layer.
+Status ValidateRequest(const QueryRequest& request) {
   if (request.algo == "parallel") {
     return Status::InvalidArgument(
         "algo 'parallel' is not addressable; request intra-query "
         "parallelism with the parallel_threads field");
   }
-  if (request.parallel_threads == 0) return Status::OK();
-  if (request.kind != QueryKind::kMbc) {
-    return Status::InvalidArgument(
-        "parallel_threads is only valid for kind 'mbc'");
-  }
-  if (NormalizedAlgo(request) != "star") {
-    return Status::InvalidArgument(
-        "parallel_threads requires the default (star) algorithm, got '" +
-        request.algo + "'");
+  const std::pair<bool, const char*> star_only[] = {
+      {request.parallel_threads > 0, "parallel_threads"},
+      {request.warm_start, "warm_start"}};
+  for (const auto& [set, field] : star_only) {
+    if (!set) continue;
+    if (request.kind != QueryKind::kMbc) {
+      return Status::InvalidArgument(std::string(field) +
+                                     " is only valid for kind 'mbc'");
+    }
+    if (NormalizedAlgo(request) != "star") {
+      return Status::InvalidArgument(
+          std::string(field) +
+          " requires the default (star) algorithm, got '" + request.algo +
+          "'");
+    }
   }
   return Status::OK();
 }
 
-/// warm_start composes only with engines that accept an initial incumbent
-/// (MBC* and the parallel engine — both behind the default algo). The
-/// kind restriction is already enforced at the protocol layer.
-Status ValidateWarmStartRequest(const QueryRequest& request) {
-  if (!request.warm_start) return Status::OK();
-  if (request.kind != QueryKind::kMbc) {
-    return Status::InvalidArgument("warm_start is only valid for kind 'mbc'");
+/// The cache key of `request`'s answer on the graph with `fingerprint`.
+/// PF / gMBC answers don't depend on the request's tau, so it is pinned
+/// to 0 ("pf tau=1" and "pf tau=7" share an entry); the tolerance is keyed
+/// only for kMbcTol. The heuristic tier is inexact by definition, so its
+/// entries live under the degraded tag and can never answer an exact query.
+CacheKey CacheKeyFor(const QueryRequest& request, uint64_t fingerprint) {
+  CacheKey key;
+  key.graph_fingerprint = fingerprint;
+  key.kind = request.kind;
+  key.tau = KindUsesTau(request.kind) ? request.tau : 0;
+  key.tolerance = request.kind == QueryKind::kMbcTol ? request.tolerance : 0;
+  key.algo = CacheAlgoLabel(request);
+  if (request.kind == QueryKind::kMbcHeu) {
+    key.exactness = CacheExactness::kDegraded;
   }
-  if (NormalizedAlgo(request) != "star") {
-    return Status::InvalidArgument(
-        "warm_start requires the default (star) algorithm, got '" +
-        request.algo + "'");
-  }
-  return Status::OK();
+  return key;
+}
+
+/// The key of the brownout tier's answer: the degraded tag and a fixed
+/// "greedy" label (the greedy ignores the algo field). Still keyed
+/// per-tolerance, although the greedy answer itself ignores the budget.
+CacheKey DegradedCacheKeyFor(const QueryRequest& request,
+                             uint64_t fingerprint) {
+  CacheKey key = CacheKeyFor(request, fingerprint);
+  key.algo = "greedy";
+  key.exactness = CacheExactness::kDegraded;
+  return key;
 }
 
 }  // namespace
@@ -200,14 +223,7 @@ std::optional<std::future<QueryResponse>> QueryService::BrownoutAdmit(
   // already exists is free: prefer the exact cached one, then a degraded
   // one. Everything else drops to the greedy tier (still queued — the
   // degeneracy greedy is O(m), cheap but not poll-thread cheap).
-  if (const Status valid = ValidateParallelRequest(task.request);
-      !valid.ok()) {
-    QueryResponse response;
-    response.status = valid;
-    return ImmediateResponse(task, std::move(response));
-  }
-  if (const Status valid = ValidateWarmStartRequest(task.request);
-      !valid.ok()) {
+  if (const Status valid = ValidateRequest(task.request); !valid.ok()) {
     QueryResponse response;
     response.status = valid;
     return ImmediateResponse(task, std::move(response));
@@ -219,25 +235,16 @@ std::optional<std::future<QueryResponse>> QueryService::BrownoutAdmit(
     return ImmediateResponse(task, std::move(response));
   }
   if (task.request.no_cache) return std::nullopt;
-  CacheKey key;
-  key.graph_fingerprint = snapshot.value()->fingerprint();
-  key.kind = task.request.kind;
-  key.tau = KindUsesTau(task.request.kind) ? task.request.tau : 0;
-  key.tolerance =
-      task.request.kind == QueryKind::kMbcTol ? task.request.tolerance : 0;
-  key.algo = CacheAlgoLabel(task.request);
-  if (task.request.kind == QueryKind::kMbcHeu) {
-    key.exactness = CacheExactness::kDegraded;
-  }
-  if (std::optional<QueryResult> hit = cache_.Lookup(key)) {
+  const uint64_t fingerprint = snapshot.value()->fingerprint();
+  if (std::optional<QueryResult> hit =
+          cache_.Lookup(CacheKeyFor(task.request, fingerprint))) {
     QueryResponse response;
     response.result = std::move(*hit);
     response.cached = true;
     return ImmediateResponse(task, std::move(response));
   }
-  key.exactness = CacheExactness::kDegraded;
-  key.algo = "greedy";
-  if (std::optional<QueryResult> hit = cache_.Lookup(key)) {
+  if (std::optional<QueryResult> hit =
+          cache_.Lookup(DegradedCacheKeyFor(task.request, fingerprint))) {
     QueryResponse response;
     response.result = std::move(*hit);
     response.cached = true;
@@ -478,20 +485,11 @@ QueryResponse QueryService::ExecuteDegraded(const Task& task) {
   response.degraded = true;
   queries_degraded_.fetch_add(1, std::memory_order_relaxed);
   if (!request.no_cache) {
-    // Degraded answers live under their own exactness tag (and a fixed
-    // "greedy" algo label — the greedy ignores the algo field): an exact
-    // query can never be satisfied by this entry.
-    CacheKey key;
-    key.graph_fingerprint = snapshot.value()->fingerprint();
-    key.kind = request.kind;
-    key.tau = KindUsesTau(request.kind) ? request.tau : 0;
-    // Keyed per-tolerance for symmetry with BrownoutAdmit's fallback
-    // lookup, although the greedy answer itself ignores the budget.
-    key.tolerance =
-        request.kind == QueryKind::kMbcTol ? request.tolerance : 0;
-    key.algo = "greedy";
-    key.exactness = CacheExactness::kDegraded;
-    cache_.Insert(key, response.result);
+    // Degraded answers live under their own exactness tag: an exact query
+    // can never be satisfied by this entry.
+    cache_.Insert(
+        DegradedCacheKeyFor(request, snapshot.value()->fingerprint()),
+        response.result);
   }
   return response;
 }
@@ -529,11 +527,7 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
 
   if (task.degraded) return finish(ExecuteDegraded(task));
 
-  if (const Status valid = ValidateParallelRequest(request); !valid.ok()) {
-    response.status = valid;
-    return finish(std::move(response));
-  }
-  if (const Status valid = ValidateWarmStartRequest(request); !valid.ok()) {
+  if (const Status valid = ValidateRequest(request); !valid.ok()) {
     response.status = valid;
     return finish(std::move(response));
   }
@@ -545,20 +539,7 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
   const SignedGraph& graph = snapshot.value()->graph();
   const std::string algo = NormalizedAlgo(request);
 
-  // PF / gMBC answers don't depend on the request's tau; pin it in the key
-  // so "pf tau=1" and "pf tau=7" share an entry.
-  CacheKey key;
-  key.graph_fingerprint = snapshot.value()->fingerprint();
-  key.kind = request.kind;
-  key.tau = KindUsesTau(request.kind) ? request.tau : 0;
-  key.tolerance =
-      request.kind == QueryKind::kMbcTol ? request.tolerance : 0;
-  key.algo = CacheAlgoLabel(request);
-  if (request.kind == QueryKind::kMbcHeu) {
-    // The heuristic tier is inexact by definition; its entries live under
-    // the degraded tag so they can never answer an exact query.
-    key.exactness = CacheExactness::kDegraded;
-  }
+  const CacheKey key = CacheKeyFor(request, snapshot.value()->fingerprint());
 
   if (!request.no_cache) {
     if (std::optional<QueryResult> hit = cache_.Lookup(key)) {

@@ -115,6 +115,18 @@ TEST(CancellationTest, HeuristicTierObservesPreCancelledContext) {
   EXPECT_TRUE(IsBalancedClique(graph, result.clique));
 }
 
+TEST(CancellationTest, MbcHeuristicCompletesFirstAnchorWhenCancelled) {
+  // MbcHeuristic's first greedy anchor runs to completion under a
+  // cancelled context, so MBC* and PF* still get their lower bound.
+  ExecutionContext exec;
+  exec.RequestCancel();
+  const SignedGraph graph = testing_util::Figure2Graph();
+  const BalancedClique clique = MbcHeuristic(graph, 2, &exec);
+  EXPECT_EQ(clique.size(), 6u);
+  EXPECT_TRUE(IsBalancedClique(graph, clique));
+  EXPECT_EQ(exec.reason(), InterruptReason::kCancelled);
+}
+
 TEST(CancellationTest, HeuristicTierSeesCancelFromOtherThread) {
   const SignedGraph base = RandomSignedGraph(2000, 120000, 0.45, 31);
   const SignedGraph graph = PlantBalancedCliques(base, {{5, 5}}, 17);

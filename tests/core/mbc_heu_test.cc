@@ -51,14 +51,6 @@ TEST(MbcHeuTest, ReturnsEmptyWhenThresholdUnreachable) {
   EXPECT_TRUE(clique.empty());
 }
 
-TEST(MbcHeuTest, AnchoredVariantUsesGivenVertex) {
-  const SignedGraph graph = Figure2Graph();
-  // Anchored at v1 (id 0), the reachable clique is {v1, v2 | v3, v4}.
-  const BalancedClique clique = MbcHeuristicAt(graph, 0, 2);
-  EXPECT_TRUE(IsBalancedClique(graph, clique));
-  EXPECT_EQ(clique.size(), 4u);
-}
-
 TEST(MbcHeuTest, RecoversLargePlantedClique) {
   // Uniform degrees so the planted members dominate min{d+, d-}.
   CommunityGraphOptions options;

@@ -33,6 +33,19 @@ TEST(TimeLimitTest, MbcStarZeroBudgetStillReturnsValidClique) {
   EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kDeadline);
 }
 
+TEST(TimeLimitTest, MbcStarZeroBudgetKeepsFirstAnchorGreedy) {
+  // The heuristic's first anchor completes under an expired budget, so
+  // the deadline answer is the greedy clique, not an empty one.
+  const SignedGraph graph = testing_util::Figure2Graph();
+  MbcStarOptions options;
+  options.time_limit_seconds = 0.0;
+  const MbcStarResult result = MaxBalancedCliqueStar(graph, 2, options);
+  EXPECT_FALSE(result.clique.empty());
+  EXPECT_TRUE(IsBalancedClique(graph, result.clique));
+  EXPECT_TRUE(result.clique.SatisfiesThreshold(2));
+  EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kDeadline);
+}
+
 TEST(TimeLimitTest, MbcStarGenerousBudgetIsExact) {
   const SignedGraph graph = testing_util::Figure2Graph();
   MbcStarOptions options;
@@ -74,6 +87,7 @@ TEST(TimeLimitTest, PfStarZeroBudgetReturnsHeuristicLowerBound) {
   // The result is a valid lower bound with a valid witness.
   EXPECT_TRUE(IsBalancedClique(graph, result.witness));
   EXPECT_EQ(result.witness.MinSide(), result.beta);
+  EXPECT_GT(result.beta, 0u);
   EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kDeadline);
   const PfStarResult exact = PolarizationFactorStar(graph);
   EXPECT_LE(result.beta, exact.beta);

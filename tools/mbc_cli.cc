@@ -275,10 +275,14 @@ int CmdHeu(const Flags& flags) {
   mbc::MbcHeuOptions options;
   options.exec = &g_execution;
   options.seed = std::strtoull(flags.Get("seed", "0").c_str(), nullptr, 10);
-  options.local_search_iterations = static_cast<uint32_t>(
-      std::strtoul(flags.Get("ls-iters", "24").c_str(), nullptr, 10));
-  options.degeneracy_anchors = static_cast<uint32_t>(
-      std::strtoul(flags.Get("anchors", "4").c_str(), nullptr, 10));
+  // Unset flags keep MbcHeuOptions' defaults (the service's mbc_heu kind).
+  options.local_search_iterations = static_cast<uint32_t>(std::strtoul(
+      flags.Get("ls-iters", std::to_string(options.local_search_iterations))
+          .c_str(),
+      nullptr, 10));
+  options.degeneracy_anchors = static_cast<uint32_t>(std::strtoul(
+      flags.Get("anchors", std::to_string(options.degeneracy_anchors)).c_str(),
+      nullptr, 10));
   mbc::Timer timer;
   const mbc::MbcHeuResult result =
       mbc::MbcHeuristicSearch(graph.value(), tau, options);
