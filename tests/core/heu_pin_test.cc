@@ -504,7 +504,8 @@ TEST(HeuPinTest, DegradedResults) {
         ComputeDegradedResult(g.graph, QueryKind::kGmbc, 0);
     std::string sizes;
     for (uint32_t size : gmbc.gmbc_sizes) {
-      sizes += (sizes.empty() ? "" : ",") + std::to_string(size);
+      if (!sizes.empty()) sizes += ',';
+      sizes += std::to_string(size);
     }
     got.push_back(std::string(g.name) + " gmbc beta=" +
                   std::to_string(gmbc.beta) + " sizes=" + sizes);
