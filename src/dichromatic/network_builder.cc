@@ -1,9 +1,53 @@
 // Copyright 2026 The balanced-clique Authors.
 #include "src/dichromatic/network_builder.h"
 
+#include <algorithm>
+#include <bit>
+#include <span>
+
 #include "src/common/logging.h"
 
 namespace mbc {
+namespace {
+
+// Sets bit e of `bits` for every CSR entry e whose neighbour ranks above
+// the list's owner.
+void OrientLists(std::span<const uint64_t> offsets,
+                 std::span<const VertexId> neighbors, const uint32_t* rank,
+                 std::vector<uint64_t>* bits) {
+  bits->assign((neighbors.size() + 63) / 64, 0);
+  for (size_t x = 0; x + 1 < offsets.size(); ++x) {
+    for (uint64_t e = offsets[x]; e < offsets[x + 1]; ++e) {
+      const VertexId y = neighbors[e];
+      MBC_DCHECK(rank[y] != rank[x]);
+      if (rank[y] > rank[x]) (*bits)[e >> 6] |= uint64_t{1} << (e & 63);
+    }
+  }
+}
+
+// Calls fn(neighbors[e]) for every set bit e of `bits` in [begin, end),
+// one 64-bit word at a time.
+template <typename Fn>
+void ForEachOriented(const uint64_t* bits, const VertexId* neighbors,
+                     uint64_t begin, uint64_t end, Fn&& fn) {
+  if (begin >= end) return;
+  const uint64_t last = (end - 1) >> 6;
+  uint64_t w = begin >> 6;
+  uint64_t word = bits[w] & (~uint64_t{0} << (begin & 63));
+  for (;;) {
+    if (w == last && (end & 63) != 0) {
+      word &= (uint64_t{1} << (end & 63)) - 1;
+    }
+    while (word != 0) {
+      fn(neighbors[(w << 6) + std::countr_zero(word)]);
+      word &= word - 1;
+    }
+    if (w == last) return;
+    word = bits[++w];
+  }
+}
+
+}  // namespace
 
 DichromaticNetworkBuilder::DichromaticNetworkBuilder(const SignedGraph& graph)
     : graph_(graph),
@@ -16,6 +60,15 @@ DichromaticNetwork DichromaticNetworkBuilder::Build(VertexId u,
   DichromaticNetwork net;
   BuildInto(u, rank, alive, &net);
   return net;
+}
+
+void DichromaticNetworkBuilder::OrientBy(const uint32_t* rank) {
+  if (rank == oriented_by_) return;
+  OrientLists(graph_.PosOffsets(), graph_.PosNeighborEntries(), rank,
+              &pos_up_);
+  OrientLists(graph_.NegOffsets(), graph_.NegNeighborEntries(), rank,
+              &neg_up_);
+  oriented_by_ = rank;
 }
 
 void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
@@ -52,34 +105,48 @@ void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
   // are never conflicting (positive to V_L, negative to V_R).
   for (uint32_t i = 1; i < k; ++i) net.graph.AddEdge(0, i);
 
-  // Edges among the members (excluding u): classify against the sides.
-  for (uint32_t i = 1; i < k; ++i) {
-    const VertexId x = net.to_original[i];
-    const bool x_left = i < num_left;
-    for (VertexId y : graph_.PositiveNeighbors(x)) {
-      if (stamp_[y] != current_stamp_) continue;
-      const uint32_t j = local_id_[y];
-      if (j <= i) continue;  // count each pair once; j==0 impossible here
-      ++net.ego_edges;
-      const bool y_left = j < num_left;
-      // A positive edge is non-conflicting iff both endpoints are on the
-      // same side.
-      if (x_left == y_left) {
-        net.graph.AddEdge(i, j);
-        ++net.dichromatic_edges;
-      }
+  // Edges among the members (excluding u, which is never stamped): each is
+  // offered once, from its lower endpoint, and classified against the
+  // sides. A positive edge is non-conflicting iff both endpoints are on the
+  // same side, a negative one iff they are on opposite sides.
+  auto offer = [&](uint32_t i, VertexId y, bool positive) {
+    if (stamp_[y] != current_stamp_) return;
+    const uint32_t j = local_id_[y];
+    ++net.ego_edges;
+    if (((i < num_left) == (j < num_left)) == positive) {
+      net.graph.AddEdge(i, j);
+      ++net.dichromatic_edges;
     }
-    for (VertexId y : graph_.NegativeNeighbors(x)) {
-      if (stamp_[y] != current_stamp_) continue;
-      const uint32_t j = local_id_[y];
-      if (j <= i) continue;
-      ++net.ego_edges;
-      const bool y_left = j < num_left;
-      // A negative edge is non-conflicting iff the endpoints are on
-      // opposite sides.
-      if (x_left != y_left) {
-        net.graph.AddEdge(i, j);
-        ++net.dichromatic_edges;
+  };
+  if (rank != nullptr) {
+    // Lower = lower-ranked: walk each member's orientation bits.
+    OrientBy(rank);
+    const std::span<const uint64_t> pos_offsets = graph_.PosOffsets();
+    const std::span<const uint64_t> neg_offsets = graph_.NegOffsets();
+    const VertexId* pos_neighbors = graph_.PosNeighborEntries().data();
+    const VertexId* neg_neighbors = graph_.NegNeighborEntries().data();
+    for (uint32_t i = 1; i < k; ++i) {
+      const VertexId x = net.to_original[i];
+      ForEachOriented(pos_up_.data(), pos_neighbors, pos_offsets[x],
+                      pos_offsets[x + 1],
+                      [&](VertexId y) { offer(i, y, true); });
+      ForEachOriented(neg_up_.data(), neg_neighbors, neg_offsets[x],
+                      neg_offsets[x + 1],
+                      [&](VertexId y) { offer(i, y, false); });
+    }
+  } else {
+    // Lower = lower id: scan each member's lists above its own id.
+    for (uint32_t i = 1; i < k; ++i) {
+      const VertexId x = net.to_original[i];
+      const std::span<const VertexId> pos = graph_.PositiveNeighbors(x);
+      for (auto it = std::upper_bound(pos.begin(), pos.end(), x);
+           it != pos.end(); ++it) {
+        offer(i, *it, true);
+      }
+      const std::span<const VertexId> neg = graph_.NegativeNeighbors(x);
+      for (auto it = std::upper_bound(neg.begin(), neg.end(), x);
+           it != neg.end(); ++it) {
+        offer(i, *it, false);
       }
     }
   }

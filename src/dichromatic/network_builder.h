@@ -37,7 +37,27 @@ struct DichromaticNetwork {
 };
 
 /// Builds dichromatic networks for successive vertices of one signed graph.
-/// Keeps O(n) scratch so each Build costs O(sum of member degrees).
+/// Keeps O(n) scratch plus, once a ranked build has run, one orientation
+/// bit per CSR entry (2|E| bits).
+///
+/// Cost model. Each member-member edge of g_u is found once, from its lower
+/// endpoint:
+///   * ranked builds (rank non-null) walk only the orientation bits of each
+///     member's lists, a 64-bit word at a time, so a member x costs
+///     deg(x)/64 word reads plus its higher-ranked neighbours — at most the
+///     degeneracy when `rank` is a degeneracy order, even for a hub;
+///   * unranked builds scan only the part of each member's id-sorted lists
+///     above the member's own id, found with one binary search.
+/// Either way u's own lists are read once to collect the members.
+///
+/// One rank array per builder: the orientation bits are built in O(|E|) on
+/// the first ranked call and kept for later ranked calls that pass the same
+/// `rank` pointer; a call with a different pointer rebuilds them, at
+/// O(|E|) per switch. The bits only decide which endpoint offers an edge,
+/// and any bits built for this graph offer every edge exactly once, so
+/// bits left over from other rank contents at the same address cost time,
+/// never correctness. Adjacent vertices must have distinct ranks (a
+/// degeneracy order or any permutation of ids qualifies).
 class DichromaticNetworkBuilder {
  public:
   /// `graph` must outlive the builder.
@@ -46,7 +66,8 @@ class DichromaticNetworkBuilder {
   /// Builds g_u. If `rank` is non-null (size n), only neighbors v with
   /// rank[v] > rank[u] join the network; if `alive` is non-null (size n),
   /// only alive neighbors join. u itself always joins (as local vertex 0)
-  /// and must be alive.
+  /// and must be alive. Members keep the order of u's id-sorted positive
+  /// list, then its negative list, whatever `rank` is.
   DichromaticNetwork Build(VertexId u, const uint32_t* rank = nullptr,
                            const uint8_t* alive = nullptr);
 
@@ -59,11 +80,21 @@ class DichromaticNetworkBuilder {
                  DichromaticNetwork* net);
 
  private:
+  /// Points the orientation bits at `rank`, rebuilding them if the
+  /// builder last oriented by another array.
+  void OrientBy(const uint32_t* rank);
+
   const SignedGraph& graph_;
   // old vertex id -> local id, valid only when stamp matches.
   std::vector<uint32_t> local_id_;
   std::vector<uint32_t> stamp_;
   uint32_t current_stamp_ = 0;
+  // Orientation bits: bit e of pos_up_ (neg_up_) is set when the
+  // neighbour at CSR entry e of the positive (negative) neighbour array
+  // ranks above the owner of that list under `oriented_by_`.
+  std::vector<uint64_t> pos_up_;
+  std::vector<uint64_t> neg_up_;
+  const uint32_t* oriented_by_ = nullptr;
 };
 
 }  // namespace mbc

@@ -3,10 +3,14 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
+#include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/graph/cores.h"
 #include "tests/test_util.h"
 
 namespace mbc {
@@ -162,6 +166,234 @@ TEST(NetworkBuilderTest, CliquesAreBalancedInOriginal) {
           EXPECT_TRUE(graph.HasNegativeEdge(a, b));
         }
       }
+    }
+  }
+}
+
+// --- Brute-force reference ---------------------------------------------
+//
+// The builder finds each member-member edge once, from its lower endpoint
+// (orientation bits for ranked builds, the id-sorted suffix for unranked
+// ones). The reference below instead asks HasPositiveEdge/HasNegativeEdge
+// for every member pair, so any edge the one-sided scan misses or counts
+// twice shows up as a mismatch.
+
+// Checks `net` against g_u built by brute force: members and their local
+// order, sides, every HasEdge, ego_edges and dichromatic_edges.
+void ExpectMatchesBruteForce(const SignedGraph& graph, VertexId u,
+                             const uint32_t* rank, const uint8_t* alive,
+                             const DichromaticNetwork& net,
+                             const std::string& label) {
+  auto joins = [&](VertexId v) {
+    return (alive == nullptr || alive[v] != 0) &&
+           (rank == nullptr || rank[v] > rank[u]);
+  };
+  std::vector<VertexId> members{u};
+  for (VertexId v : graph.PositiveNeighbors(u)) {
+    if (joins(v)) members.push_back(v);
+  }
+  const size_t num_left = members.size();
+  for (VertexId v : graph.NegativeNeighbors(u)) {
+    if (joins(v)) members.push_back(v);
+  }
+  ASSERT_EQ(net.to_original, members) << label;
+  const uint32_t k = static_cast<uint32_t>(members.size());
+  ASSERT_EQ(net.graph.NumVertices(), k) << label;
+
+  uint64_t ego_edges = 0;
+  uint64_t dichromatic_edges = 0;
+  for (uint32_t i = 0; i < k; ++i) {
+    ASSERT_EQ(net.graph.IsLeft(i), i < num_left) << label << " i=" << i;
+    ASSERT_FALSE(net.graph.HasEdge(i, i)) << label << " i=" << i;
+    for (uint32_t j = i + 1; j < k; ++j) {
+      bool want = true;  // u is adjacent to every member
+      if (i > 0) {
+        const bool positive = graph.HasPositiveEdge(members[i], members[j]);
+        const bool negative = graph.HasNegativeEdge(members[i], members[j]);
+        const bool same_side = (i < num_left) == (j < num_left);
+        want = same_side ? positive : negative;
+        ego_edges += positive || negative;
+        dichromatic_edges += want;
+      }
+      ASSERT_EQ(net.graph.HasEdge(i, j), want)
+          << label << " i=" << i << " j=" << j;
+      ASSERT_EQ(net.graph.HasEdge(j, i), want)
+          << label << " i=" << i << " j=" << j;
+    }
+  }
+  EXPECT_EQ(net.ego_edges, ego_edges) << label;
+  EXPECT_EQ(net.dichromatic_edges, dichromatic_edges) << label;
+}
+
+std::vector<uint32_t> ShuffledRank(VertexId n, uint64_t seed) {
+  std::vector<uint32_t> rank(n);
+  std::iota(rank.begin(), rank.end(), 0u);
+  std::mt19937_64 rng(seed);
+  std::shuffle(rank.begin(), rank.end(), rng);
+  return rank;
+}
+
+std::vector<uint8_t> RandomAlive(VertexId n, uint64_t seed) {
+  std::vector<uint8_t> alive(n);
+  std::mt19937_64 rng(seed);
+  for (uint8_t& a : alive) a = (rng() % 4) != 0;  // ~75% alive
+  return alive;
+}
+
+// Ranked (degeneracy order and a random permutation), unranked, and
+// alive-filtered builds of every vertex of several random graphs.
+TEST(NetworkBuilderTest, MatchesBruteForceOnRandomGraphs) {
+  for (uint64_t seed : {3u, 17u, 29u}) {
+    const SignedGraph graph =
+        testing_util::RandomSignedGraph(120, 1500, 0.4, seed);
+    const VertexId n = graph.NumVertices();
+    const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
+    const std::vector<uint32_t> shuffled = ShuffledRank(n, seed);
+    std::vector<uint8_t> alive = RandomAlive(n, seed + 1);
+    DichromaticNetworkBuilder by_degeneracy(graph);
+    DichromaticNetworkBuilder by_shuffle(graph);
+    DichromaticNetworkBuilder unranked(graph);
+    DichromaticNetwork net;
+    for (VertexId u = 0; u < n; ++u) {
+      const std::string at =
+          " seed=" + std::to_string(seed) + " u=" + std::to_string(u);
+      by_degeneracy.BuildInto(u, degeneracy.rank.data(), nullptr, &net);
+      ExpectMatchesBruteForce(graph, u, degeneracy.rank.data(), nullptr, net,
+                              "degeneracy" + at);
+      by_shuffle.BuildInto(u, shuffled.data(), nullptr, &net);
+      ExpectMatchesBruteForce(graph, u, shuffled.data(), nullptr, net,
+                              "shuffled" + at);
+      unranked.BuildInto(u, nullptr, nullptr, &net);
+      ExpectMatchesBruteForce(graph, u, nullptr, nullptr, net,
+                              "unranked" + at);
+      if (alive[u] == 0) continue;
+      by_degeneracy.BuildInto(u, degeneracy.rank.data(), alive.data(), &net);
+      ExpectMatchesBruteForce(graph, u, degeneracy.rank.data(), alive.data(),
+                              net, "degeneracy+alive" + at);
+      unranked.BuildInto(u, nullptr, alive.data(), &net);
+      ExpectMatchesBruteForce(graph, u, nullptr, alive.data(), net,
+                              "unranked+alive" + at);
+    }
+  }
+}
+
+// A BSCL graph has a few hubs whose lists span many 64-bit orientation
+// words. Build the egos of the hubs, of their neighbours and of a spread
+// of other vertices, ranked and unranked.
+TEST(NetworkBuilderTest, MatchesBruteForceOnHubHeavyBscl) {
+  BsclOptions options;
+  options.num_vertices = 3000;
+  options.num_edges = 20000;
+  options.seed = 7;
+  const SignedGraph graph = GenerateBsclSignedGraph(options);
+  const VertexId n = graph.NumVertices();
+  std::vector<VertexId> by_degree(n);
+  std::iota(by_degree.begin(), by_degree.end(), 0u);
+  std::sort(by_degree.begin(), by_degree.end(), [&](VertexId a, VertexId b) {
+    return graph.Degree(a) > graph.Degree(b);
+  });
+  const VertexId hub = by_degree[0];
+  ASSERT_GT(graph.PositiveDegree(hub), 256u);
+
+  std::vector<VertexId> egos(by_degree.begin(), by_degree.begin() + 5);
+  for (VertexId v : graph.PositiveNeighbors(hub)) egos.push_back(v);
+  for (VertexId v : graph.NegativeNeighbors(hub)) egos.push_back(v);
+  for (VertexId v = 0; v < n; v += 41) egos.push_back(v);
+
+  const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
+  const std::vector<uint8_t> alive = RandomAlive(n, 5);
+  DichromaticNetworkBuilder builder(graph);
+  DichromaticNetwork net;
+  for (VertexId u : egos) {
+    const std::string at = " u=" + std::to_string(u);
+    builder.BuildInto(u, degeneracy.rank.data(), nullptr, &net);
+    ExpectMatchesBruteForce(graph, u, degeneracy.rank.data(), nullptr, net,
+                            "degeneracy" + at);
+    if (alive[u] != 0) {
+      builder.BuildInto(u, degeneracy.rank.data(), alive.data(), &net);
+      ExpectMatchesBruteForce(graph, u, degeneracy.rank.data(), alive.data(),
+                              net, "degeneracy+alive" + at);
+    }
+  }
+  // Unranked hub egos are large; a few suffice.
+  for (size_t i = 0; i < 5; ++i) {
+    const VertexId u = egos[i];
+    builder.BuildInto(u, nullptr, nullptr, &net);
+    ExpectMatchesBruteForce(graph, u, nullptr, nullptr, net,
+                            "unranked u=" + std::to_string(u));
+  }
+}
+
+// The orientation walk masks the first and last word of every list. Make
+// sure the test graph has lists that start and end mid-word and span more
+// than 64 entries (so whole middle words are read too), and lists that
+// start and end inside one word, then check every ego against the
+// reference with the members' highest ranks first and last.
+TEST(NetworkBuilderTest, MatchesBruteForceAcrossWordBoundaries) {
+  const SignedGraph graph =
+      testing_util::RandomSignedGraph(300, 12000, 0.45, 41);
+  const VertexId n = graph.NumVertices();
+  auto count_lists = [&](std::span<const uint64_t> offsets, bool long_list) {
+    uint32_t count = 0;
+    for (VertexId x = 0; x < n; ++x) {
+      const uint64_t begin = offsets[x];
+      const uint64_t end = offsets[x + 1];
+      if (begin % 64 == 0 || end % 64 == 0) continue;
+      const bool spans = end - begin > 64;
+      const bool one_word = end > begin && begin / 64 == (end - 1) / 64;
+      count += long_list ? spans : one_word;
+    }
+    return count;
+  };
+  ASSERT_GT(count_lists(graph.PosOffsets(), true), 0u);
+  ASSERT_GT(count_lists(graph.NegOffsets(), true), 0u);
+  ASSERT_GT(count_lists(graph.PosOffsets(), false), 0u);
+  ASSERT_GT(count_lists(graph.NegOffsets(), false), 0u);
+
+  std::vector<uint32_t> ascending(n);
+  std::iota(ascending.begin(), ascending.end(), 0u);
+  std::vector<uint32_t> descending(n);
+  for (VertexId v = 0; v < n; ++v) descending[v] = n - 1 - v;
+  for (const std::vector<uint32_t>* rank : {&ascending, &descending}) {
+    DichromaticNetworkBuilder builder(graph);
+    DichromaticNetwork net;
+    for (VertexId u = 0; u < n; ++u) {
+      builder.BuildInto(u, rank->data(), nullptr, &net);
+      ExpectMatchesBruteForce(
+          graph, u, rank->data(), nullptr, net,
+          std::string(rank == &ascending ? "ascending" : "descending") +
+              " u=" + std::to_string(u));
+    }
+  }
+}
+
+// One builder serves ranked and unranked calls in turn and switches
+// between two rank arrays: the orientation bits must follow the array
+// each call passes, and unranked calls must not depend on them.
+TEST(NetworkBuilderTest, ReusedAcrossRankArraysAndUnrankedCalls) {
+  const SignedGraph graph =
+      testing_util::RandomSignedGraph(150, 2500, 0.35, 23);
+  const VertexId n = graph.NumVertices();
+  const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
+  const std::vector<uint32_t> shuffled = ShuffledRank(n, 99);
+  const std::vector<uint8_t> alive = RandomAlive(n, 7);
+  DichromaticNetworkBuilder builder(graph);
+  DichromaticNetwork net;
+  for (VertexId u = 0; u < n; ++u) {
+    const std::string at = " u=" + std::to_string(u);
+    builder.BuildInto(u, degeneracy.rank.data(), nullptr, &net);
+    ExpectMatchesBruteForce(graph, u, degeneracy.rank.data(), nullptr, net,
+                            "degeneracy" + at);
+    builder.BuildInto(u, nullptr, nullptr, &net);
+    ExpectMatchesBruteForce(graph, u, nullptr, nullptr, net,
+                            "unranked" + at);
+    builder.BuildInto(u, shuffled.data(), nullptr, &net);
+    ExpectMatchesBruteForce(graph, u, shuffled.data(), nullptr, net,
+                            "shuffled" + at);
+    if (alive[u] != 0) {
+      builder.BuildInto(u, shuffled.data(), alive.data(), &net);
+      ExpectMatchesBruteForce(graph, u, shuffled.data(), alive.data(), net,
+                              "shuffled+alive" + at);
     }
   }
 }
