@@ -25,8 +25,6 @@ inline Sign FlipSign(Sign s) {
   return s == Sign::kPositive ? Sign::kNegative : Sign::kPositive;
 }
 
-inline char SignChar(Sign s) { return s == Sign::kPositive ? '+' : '-'; }
-
 /// Sentinel for "no vertex".
 inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
 

@@ -94,17 +94,12 @@ class MdcSolver {
   /// the returned witness deterministic across thread counts. In this mode
   /// the caller must consume results via `offer`; Solve's return value
   /// only says whether any offer fired. `bound` and `offer` must outlive
-  /// the solver (or be cleared).
+  /// the solver.
   void SetSharedIncumbent(
       const std::atomic<size_t>* bound,
       std::function<void(const std::vector<uint32_t>&)> offer) {
     shared_bound_ = bound;
     offer_ = std::move(offer);
-  }
-  /// Back to single-threaded semantics (exact pruning, no offers).
-  void ClearSharedIncumbent() {
-    shared_bound_ = nullptr;
-    offer_ = nullptr;
   }
 
   void SetOptions(const MdcOptions& options) { options_ = options; }

@@ -112,7 +112,6 @@ class WorkStealingDeque {
     const int64_t t = top_.load(std::memory_order_relaxed);
     return b > t ? static_cast<size_t>(b - t) : 0;
   }
-  bool EmptyApprox() const { return SizeApprox() == 0; }
 
   /// Current ring capacity (tests: growth behavior).
   size_t capacity() const {

@@ -8,33 +8,20 @@
 namespace mbc {
 namespace {
 
-// Adapters so both graph types share one peeling implementation.
-struct SignedAdapter {
-  const SignedGraph& g;
-  VertexId NumVertices() const { return g.NumVertices(); }
-  uint32_t Degree(VertexId v) const { return g.Degree(v); }
-  template <typename Fn>
-  void ForEachNeighbor(VertexId v, Fn&& fn) const {
-    for (VertexId u : g.PositiveNeighbors(v)) fn(u);
-    for (VertexId u : g.NegativeNeighbors(v)) fn(u);
-  }
-};
+// Calls fn(u) for every neighbor u of v in the unsigned skeleton: positive
+// neighbors first, then negative ones. The peel order depends on this order.
+template <typename Fn>
+void ForEachNeighbor(const SignedGraph& graph, VertexId v, Fn&& fn) {
+  for (VertexId u : graph.PositiveNeighbors(v)) fn(u);
+  for (VertexId u : graph.NegativeNeighbors(v)) fn(u);
+}
 
-struct UnsignedAdapter {
-  const Graph& g;
-  VertexId NumVertices() const { return g.NumVertices(); }
-  uint32_t Degree(VertexId v) const { return g.Degree(v); }
-  template <typename Fn>
-  void ForEachNeighbor(VertexId v, Fn&& fn) const {
-    for (VertexId u : g.Neighbors(v)) fn(u);
-  }
-};
+}  // namespace
 
 // Bin-sort peeling. Maintains, for each vertex, its current degree; each
 // round removes a vertex of minimum current degree.
-template <typename Adapter>
-DegeneracyResult PeelDegeneracy(const Adapter& adapter) {
-  const VertexId n = adapter.NumVertices();
+DegeneracyResult DegeneracyDecompose(const SignedGraph& graph) {
+  const VertexId n = graph.NumVertices();
   DegeneracyResult result;
   result.order.reserve(n);
   result.rank.assign(n, 0);
@@ -44,7 +31,7 @@ DegeneracyResult PeelDegeneracy(const Adapter& adapter) {
   std::vector<uint32_t> degree(n);
   uint32_t max_degree = 0;
   for (VertexId v = 0; v < n; ++v) {
-    degree[v] = adapter.Degree(v);
+    degree[v] = graph.Degree(v);
     max_degree = std::max(max_degree, degree[v]);
   }
 
@@ -85,7 +72,7 @@ DegeneracyResult PeelDegeneracy(const Adapter& adapter) {
     result.rank[v] = round;
     result.order.push_back(v);
 
-    adapter.ForEachNeighbor(v, [&](VertexId u) {
+    ForEachNeighbor(graph, v, [&](VertexId u) {
       if (removed[u]) return;
       if (degree[u] > current_min) {
         bin_remove(u, degree[u]);
@@ -101,14 +88,13 @@ DegeneracyResult PeelDegeneracy(const Adapter& adapter) {
   return result;
 }
 
-template <typename Adapter>
-std::vector<uint8_t> PeelKCore(const Adapter& adapter, uint32_t k) {
-  const VertexId n = adapter.NumVertices();
+std::vector<uint8_t> KCoreMask(const SignedGraph& graph, uint32_t k) {
+  const VertexId n = graph.NumVertices();
   std::vector<uint8_t> alive(n, 1);
   std::vector<uint32_t> degree(n);
   std::vector<VertexId> stack;
   for (VertexId v = 0; v < n; ++v) {
-    degree[v] = adapter.Degree(v);
+    degree[v] = graph.Degree(v);
     if (degree[v] < k) {
       alive[v] = 0;
       stack.push_back(v);
@@ -117,7 +103,7 @@ std::vector<uint8_t> PeelKCore(const Adapter& adapter, uint32_t k) {
   while (!stack.empty()) {
     const VertexId v = stack.back();
     stack.pop_back();
-    adapter.ForEachNeighbor(v, [&](VertexId u) {
+    ForEachNeighbor(graph, v, [&](VertexId u) {
       if (!alive[u]) return;
       if (--degree[u] < k) {
         alive[u] = 0;
@@ -126,24 +112,6 @@ std::vector<uint8_t> PeelKCore(const Adapter& adapter, uint32_t k) {
     });
   }
   return alive;
-}
-
-}  // namespace
-
-DegeneracyResult DegeneracyDecompose(const SignedGraph& graph) {
-  return PeelDegeneracy(SignedAdapter{graph});
-}
-
-DegeneracyResult DegeneracyDecompose(const Graph& graph) {
-  return PeelDegeneracy(UnsignedAdapter{graph});
-}
-
-std::vector<uint8_t> KCoreMask(const SignedGraph& graph, uint32_t k) {
-  return PeelKCore(SignedAdapter{graph}, k);
-}
-
-std::vector<uint8_t> KCoreMask(const Graph& graph, uint32_t k) {
-  return PeelKCore(UnsignedAdapter{graph}, k);
 }
 
 }  // namespace mbc

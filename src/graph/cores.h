@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/common/types.h"
-#include "src/graph/graph.h"
 #include "src/graph/signed_graph.h"
 
 namespace mbc {
@@ -32,13 +31,10 @@ struct DegeneracyResult {
 
 /// Degeneracy decomposition of `graph`'s unsigned skeleton.
 DegeneracyResult DegeneracyDecompose(const SignedGraph& graph);
-/// Degeneracy decomposition of an unsigned graph.
-DegeneracyResult DegeneracyDecompose(const Graph& graph);
 
 /// Alive-mask of the k-core (unsigned skeleton): alive[v] is true iff v
 /// survives iteratively removing vertices of degree < k.
 std::vector<uint8_t> KCoreMask(const SignedGraph& graph, uint32_t k);
-std::vector<uint8_t> KCoreMask(const Graph& graph, uint32_t k);
 
 }  // namespace mbc
 

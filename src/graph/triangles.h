@@ -26,15 +26,6 @@ struct EdgeTriangleCounts {
 EdgeTriangleCounts CountEdgeTriangles(const SignedGraph& graph, VertexId u,
                                       VertexId v);
 
-/// Invokes fn(u, v, sign, counts) once per undirected edge (u < v).
-/// Roughly O(sum over edges of endpoint degrees) = O(alpha * m) total.
-template <typename Fn>
-void ForEachEdgeWithTriangles(const SignedGraph& graph, Fn&& fn) {
-  graph.ForEachEdge([&graph, &fn](VertexId u, VertexId v, Sign sign) {
-    fn(u, v, sign, CountEdgeTriangles(graph, u, v));
-  });
-}
-
 /// Total number of triangles in the unsigned skeleton (for statistics).
 uint64_t CountTriangles(const SignedGraph& graph);
 

@@ -15,7 +15,6 @@ bool DccSolver::Check(const Bitset& candidates, int32_t tau_l, int32_t tau_r,
   witness_ = witness;
   branches_ = 0;
   interrupted_ = false;
-  shared_stopped_ = false;
   const uint32_t l = tau_l > 0 ? static_cast<uint32_t>(tau_l) : 0;
   const uint32_t r = tau_r > 0 ? static_cast<uint32_t>(tau_r) : 0;
   arena_.BindNetwork(n);
@@ -58,11 +57,6 @@ bool DccSolver::RecurseArena(size_t depth, uint32_t tau_l, uint32_t tau_r,
                              size_t cand_count) {
   ++branches_;
   if (interrupted_) return false;
-  if (shared_stop_ != nullptr &&
-      shared_stop_->load(std::memory_order_relaxed)) {
-    shared_stopped_ = true;
-    return false;
-  }
   if (exec_ != nullptr && exec_->Checkpoint()) {
     interrupted_ = true;
     return false;

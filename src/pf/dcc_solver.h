@@ -11,7 +11,6 @@
 #ifndef MBC_PF_DCC_SOLVER_H_
 #define MBC_PF_DCC_SOLVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -52,16 +51,6 @@ class DccSolver {
   /// it. `exec` must outlive the solver; nullptr disables governance.
   void SetExecution(ExecutionContext* exec) { exec_ = exec; }
 
-  /// Cross-thread early stop — DCC's half of the shared-incumbent wiring.
-  /// DCC decides rather than maximizes, so there is no bound to tighten;
-  /// instead, once a sibling worker settles the question this check was
-  /// contributing to, flipping `stop` unwinds the search at the next node.
-  /// A stopped Check returns false conservatively and shared_stopped()
-  /// reports it (the caller must not treat that false as a proof).
-  /// `stop` must outlive the solver; nullptr (default) disables the hook.
-  void SetSharedStop(const std::atomic<bool>* stop) { shared_stop_ = stop; }
-  /// Whether the last Check unwound because the shared stop flag flipped.
-  bool shared_stopped() const { return shared_stopped_; }
   bool timed_out() const { return interrupted_; }
   /// Why the last Check call stopped early (kNone if it ran to completion).
   InterruptReason interrupt_reason() const {
@@ -85,9 +74,7 @@ class DccSolver {
   std::vector<uint32_t>* witness_ = nullptr;
   uint64_t branches_ = 0;
   ExecutionContext* exec_ = nullptr;
-  const std::atomic<bool>* shared_stop_ = nullptr;
   bool interrupted_ = false;
-  bool shared_stopped_ = false;
 };
 
 }  // namespace mbc

@@ -245,19 +245,5 @@ TEST(MdcSolverSharedIncumbentTest, SharedBoundPrunesStrictlySmaller) {
   EXPECT_TRUE(offers.empty());
 }
 
-TEST(MdcSolverSharedIncumbentTest, ClearRestoresExactSemantics) {
-  const DichromaticGraph graph = SmallInstance();
-  MdcSolver solver(graph);
-  std::atomic<size_t> bound{0};
-  solver.SetSharedIncumbent(&bound, [](const std::vector<uint32_t>&) {});
-  solver.ClearSharedIncumbent();
-  std::vector<uint32_t> best;
-  EXPECT_FALSE(solver.Solve({0}, CandidatesFor(graph, 0), 0, 1,
-                            /*lower_bound=*/4, &best));
-  EXPECT_TRUE(solver.Solve({0}, CandidatesFor(graph, 0), 0, 1,
-                           /*lower_bound=*/3, &best));
-  EXPECT_EQ(best.size(), 4u);
-}
-
 }  // namespace
 }  // namespace mbc

@@ -71,15 +71,6 @@ TEST(DegeneracyTest, CompleteGraph) {
   EXPECT_EQ(result.degeneracy, 5u);
 }
 
-TEST(DegeneracyTest, UnsignedOverloadMatchesSigned) {
-  const SignedGraph graph = RandomSignedGraph(150, 600, 0.4, 3);
-  const Graph unsigned_graph = Graph::FromSignedIgnoringSigns(graph);
-  const DegeneracyResult a = DegeneracyDecompose(graph);
-  const DegeneracyResult b = DegeneracyDecompose(unsigned_graph);
-  EXPECT_EQ(a.degeneracy, b.degeneracy);
-  EXPECT_EQ(a.core_number, b.core_number);
-}
-
 TEST(DegeneracyTest, EmptyGraph) {
   const DegeneracyResult result =
       DegeneracyDecompose(SignedGraph());

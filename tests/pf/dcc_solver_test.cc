@@ -1,7 +1,6 @@
 // Copyright 2026 The balanced-clique Authors.
 #include "src/pf/dcc_solver.h"
 
-#include <atomic>
 #include <algorithm>
 #include <vector>
 
@@ -120,28 +119,6 @@ TEST(DccSolverTest, MatchesBruteForceRandomized) {
               brute)
         << "trial=" << trial << " tau_l=" << tau_l << " tau_r=" << tau_r;
   }
-}
-
-
-TEST(DccSolverSharedStopTest, RaisedFlagUnwindsConservatively) {
-  const DichromaticGraph graph = TwoByTwoCliquePlusNoise();
-  DccSolver solver(graph);
-  std::atomic<bool> stop{true};
-  solver.SetSharedStop(&stop);
-  // Feasible instance, but the fleet has already settled the question:
-  // Check unwinds at its first node, answering false *without proof*.
-  EXPECT_FALSE(solver.Check(graph.AllVertices(), 2, 2));
-  EXPECT_TRUE(solver.shared_stopped());
-
-  // Lowering the flag restores normal operation, and the per-Check reset
-  // clears the sticky report.
-  stop.store(false);
-  EXPECT_TRUE(solver.Check(graph.AllVertices(), 2, 2));
-  EXPECT_FALSE(solver.shared_stopped());
-
-  solver.SetSharedStop(nullptr);
-  EXPECT_TRUE(solver.Check(graph.AllVertices(), 2, 2));
-  EXPECT_FALSE(solver.shared_stopped());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/core/mbc_star.h"
+#include "src/datasets/generators.h"
 #include "src/gmbc/gmbc.h"
 #include "src/pf/pf_star.h"
 #include "tests/test_util.h"
@@ -461,6 +462,99 @@ TEST(QueryServiceParallelTest, GmbcWitnessesAreAlwaysComputedOnceCached) {
     EXPECT_EQ(second.result.gmbc_cliques[tau].size(),
               second.result.gmbc_sizes[tau]);
   }
+}
+
+// Streaming acceptance gate: small write batches against a 100k-edge BSCL
+// graph, each followed by a replay of a cache-warming read mix, never trip
+// the compaction budget, and one batch invalidates well under half of the
+// warmed cache.
+TEST(QueryServiceStreamingTest, SmallBatchesKeepMostOfTheWarmedCache) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.cache_capacity_bytes = 64ull << 20;
+  options.cache_max_entry_bytes = 1ull << 20;
+  options.cache_doorkeeper_bytes = 256u << 10;
+  QueryService service(options);
+
+  BsclOptions large;
+  large.num_vertices = 20000;
+  large.num_edges = 100000;
+  large.seed = 7;
+  BsclOptions small;
+  small.num_vertices = 500;
+  small.num_edges = 2500;
+  small.seed = 11;
+  ASSERT_TRUE(service.store().Load("large", GenerateBsclSignedGraph(large))
+                  .ok());
+  ASSERT_TRUE(service.store().Load("small", GenerateBsclSignedGraph(small))
+                  .ok());
+
+  // Mostly small-graph queries at repeating taus, plus two large-graph
+  // queries whose witnesses the write batches can hit.
+  std::vector<QueryRequest> mix;
+  for (uint32_t tau = 3; tau <= 5; ++tau) {
+    mix.push_back(MbcRequest("small", tau));
+    mix.push_back(MbcRequest("small", tau));
+    mix.push_back(MbcRequest("small", tau + 3));
+  }
+  mix.push_back(MbcRequest("large", 5));
+  mix.push_back(MbcRequest("large", 6));
+  for (QueryRequest& request : mix) request.time_limit_seconds = 2.0;
+  const auto replay_mix = [&service, &mix] {
+    for (const QueryRequest& request : mix) {
+      const QueryResponse response = service.Query(request);
+      EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    }
+  };
+  replay_mix();
+  const size_t warmed_entries = service.Stats().cache.entries;
+  ASSERT_GT(warmed_entries, 0u);
+
+  // 16-edge batches: adds of fresh random pairs (1 in 4 negative), and
+  // every 4th batch removes previously added pairs, so the net drift stays
+  // bounded and removals are real.
+  constexpr int kBatches = 50;
+  constexpr int kBatchEdges = 16;
+  const VertexId n = large.num_vertices;
+  uint64_t rng = 0x9e3779b97f4a7c15ull;
+  const auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  std::vector<std::pair<VertexId, VertexId>> added;
+  for (int round = 0; round < kBatches; ++round) {
+    const bool removing = round % 4 == 3 && !added.empty();
+    MutationBatch batch;
+    for (int e = 0; e < kBatchEdges; ++e) {
+      if (removing) {
+        if (added.empty()) break;
+        batch.remove.push_back(added.back());
+        added.pop_back();
+      } else {
+        const VertexId u = static_cast<VertexId>(next() % n);
+        VertexId v = static_cast<VertexId>(next() % n);
+        if (u == v) v = (v + 1) % n;
+        const Sign sign =
+            next() % 4 == 0 ? Sign::kNegative : Sign::kPositive;
+        batch.add.push_back({u, v, sign});
+        added.emplace_back(u, v);
+      }
+    }
+    const auto applied = service.MutateGraph("large", batch);
+    ASSERT_TRUE(applied.ok()) << "batch " << round << ": "
+                              << applied.status().ToString();
+    replay_mix();
+  }
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.mutations.batches, static_cast<uint64_t>(kBatches));
+  EXPECT_EQ(stats.mutations.compactions, 0u);
+  const double per_batch_invalidation_rate =
+      static_cast<double>(stats.cache.invalidated_by_delta) / kBatches /
+      static_cast<double>(warmed_entries);
+  EXPECT_LT(per_batch_invalidation_rate, 0.5);
 }
 
 }  // namespace
