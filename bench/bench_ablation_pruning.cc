@@ -39,9 +39,6 @@ int main() {
   variants[2].options.use_core_pruning = false;
   variants[3].name = "-heu";
   variants[3].options.run_heuristic = false;
-  for (Variant& variant : variants) {
-    variant.options.time_limit_seconds = limit;
-  }
 
   TablePrinter table({"Dataset", "full", "-coloring", "-core", "-heu",
                       "|C*|"});
@@ -52,15 +49,18 @@ int main() {
     bool consistent = true;
     for (const Variant& variant : variants) {
       mbc::Timer timer;
+      mbc::ExecutionContext exec;
+      mbc::MbcStarOptions options = variant.options;
+      options.exec = mbc::ConfigureRunContext(&exec, limit);
       const mbc::MbcStarResult result =
-          mbc::MaxBalancedCliqueStar(dataset.graph, 3, variant.options);
-      row.push_back(TablePrinter::MarkIf(result.stats.timed_out, '>',
+          mbc::MaxBalancedCliqueStar(dataset.graph, 3, options);
+      row.push_back(TablePrinter::MarkIf(exec.Interrupted(), '>',
                     TablePrinter::FormatSeconds(timer.ElapsedSeconds())));
       if (variant.options.use_coloring_bound &&
           variant.options.use_core_pruning &&
           variant.options.run_heuristic) {
         full_size = result.clique.size();
-      } else if (!result.stats.timed_out &&
+      } else if (!exec.Interrupted() &&
                  result.clique.size() != full_size) {
         consistent = false;
       }

@@ -35,34 +35,34 @@ int main() {
           dataset.graph, percent / 100.0, /*seed=*/1234 + percent);
 
       mbc::Timer timer;
+      mbc::ExecutionContext baseline_exec;
       mbc::MbcBaselineOptions baseline_options;
-      baseline_options.time_limit_seconds = limit;
-      const mbc::MbcBaselineResult baseline =
-          mbc::MaxBalancedCliqueBaseline(sample, tau, baseline_options);
+      baseline_options.exec = mbc::ConfigureRunContext(&baseline_exec, limit);
+      (void)mbc::MaxBalancedCliqueBaseline(sample, tau, baseline_options);
       const double baseline_seconds = timer.ElapsedSeconds();
 
       timer.Restart();
+      mbc::ExecutionContext adv_exec;
       mbc::MbcAdvOptions adv_options;
-      adv_options.time_limit_seconds = limit * 3;
-      const mbc::MbcAdvResult adv =
-          mbc::MaxBalancedCliqueAdv(sample, tau, adv_options);
+      adv_options.exec = mbc::ConfigureRunContext(&adv_exec, limit * 3);
+      (void)mbc::MaxBalancedCliqueAdv(sample, tau, adv_options);
       const double adv_seconds = timer.ElapsedSeconds();
 
       timer.Restart();
+      mbc::ExecutionContext star_exec;
       mbc::MbcStarOptions star_options;
-      star_options.time_limit_seconds = limit * 6;
-      const mbc::MbcStarResult star =
-          mbc::MaxBalancedCliqueStar(sample, tau, star_options);
+      star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
+      (void)mbc::MaxBalancedCliqueStar(sample, tau, star_options);
       const double star_seconds = timer.ElapsedSeconds();
 
       table.AddRow({dataset.spec.name, std::to_string(percent) + "%",
                     TablePrinter::FormatCount(sample.NumVertices()),
                     TablePrinter::FormatCount(sample.NumEdges()),
-                    TablePrinter::MarkIf(baseline.timed_out, '>',
+                    TablePrinter::MarkIf(baseline_exec.Interrupted(), '>',
                         TablePrinter::FormatSeconds(baseline_seconds)),
-                    TablePrinter::MarkIf(adv.timed_out, '>',
+                    TablePrinter::MarkIf(adv_exec.Interrupted(), '>',
                         TablePrinter::FormatSeconds(adv_seconds)),
-                    TablePrinter::MarkIf(star.stats.timed_out, '>',
+                    TablePrinter::MarkIf(star_exec.Interrupted(), '>',
                         TablePrinter::FormatSeconds(star_seconds))});
     }
   }

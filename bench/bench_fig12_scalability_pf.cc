@@ -32,10 +32,10 @@ int main() {
           dataset.graph, percent / 100.0, /*seed=*/4321 + percent);
 
       mbc::Timer timer;
+      mbc::ExecutionContext pfe_exec;
       mbc::PfEOptions pfe_options;
-      pfe_options.time_limit_seconds = limit;
-      const mbc::PfEResult pfe =
-          mbc::PolarizationFactorEnum(sample, pfe_options);
+      pfe_options.exec = mbc::ConfigureRunContext(&pfe_exec, limit);
+      (void)mbc::PolarizationFactorEnum(sample, pfe_options);
       const double pfe_seconds = timer.ElapsedSeconds();
 
       timer.Restart();
@@ -44,18 +44,19 @@ int main() {
       (void)pfbs;
 
       timer.Restart();
+      mbc::ExecutionContext star_exec;
       mbc::PfStarOptions star_options;
-      star_options.time_limit_seconds = limit * 6;
+      star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
       const mbc::PfStarResult star =
           mbc::PolarizationFactorStar(sample, star_options);
       const double star_seconds = timer.ElapsedSeconds();
 
       table.AddRow({dataset.spec.name, std::to_string(percent) + "%",
                     TablePrinter::FormatCount(sample.NumVertices()),
-                    TablePrinter::MarkIf(pfe.timed_out, '>',
+                    TablePrinter::MarkIf(pfe_exec.Interrupted(), '>',
                         TablePrinter::FormatSeconds(pfe_seconds)),
                     TablePrinter::FormatSeconds(pfbs_seconds),
-                    TablePrinter::MarkIf(star.stats.timed_out, '>',
+                    TablePrinter::MarkIf(star_exec.Interrupted(), '>',
                         TablePrinter::FormatSeconds(star_seconds)),
                     std::to_string(star.beta)});
     }

@@ -16,32 +16,38 @@ int main() {
   using mbc::TablePrinter;
   mbc::PrintExperimentHeader("Runtime of gMBC vs gMBC*", "Figure 13");
 
-  mbc::GeneralizedMbcOptions budget;
-  budget.time_limit_seconds = mbc::BaselineTimeLimitSeconds() * 6;
+  const double budget = mbc::BaselineTimeLimitSeconds() * 6;
 
   TablePrinter table(
       {"Dataset", "gMBC", "gMBC*", "speedup", "beta", "MBC*-calls"});
   for (const mbc::ExperimentDataset& dataset :
        mbc::LoadExperimentDatasets()) {
     mbc::Timer timer;
+    mbc::ExecutionContext plain_exec;
+    mbc::GeneralizedMbcOptions plain_options;
+    plain_options.exec = mbc::ConfigureRunContext(&plain_exec, budget);
     const mbc::GeneralizedMbcResult plain =
-        mbc::GeneralizedMbc(dataset.graph, budget);
+        mbc::GeneralizedMbc(dataset.graph, plain_options);
     const double plain_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_exec;
+    mbc::GeneralizedMbcOptions star_options;
+    star_options.exec = mbc::ConfigureRunContext(&star_exec, budget);
     const mbc::GeneralizedMbcResult star =
-        mbc::GeneralizedMbcStar(dataset.graph, budget);
+        mbc::GeneralizedMbcStar(dataset.graph, star_options);
     const double star_seconds = timer.ElapsedSeconds();
 
-    if (!plain.timed_out && !star.timed_out && plain.beta != star.beta) {
+    if (!plain_exec.Interrupted() && !star_exec.Interrupted() &&
+        plain.beta != star.beta) {
       std::fprintf(stderr, "BUG: gMBC and gMBC* disagree on %s\n",
                    dataset.spec.name.c_str());
       return 1;
     }
     table.AddRow({dataset.spec.name,
-                  TablePrinter::MarkIf(plain.timed_out, '>',
+                  TablePrinter::MarkIf(plain_exec.Interrupted(), '>',
                       TablePrinter::FormatSeconds(plain_seconds)),
-                  TablePrinter::MarkIf(star.timed_out, '>',
+                  TablePrinter::MarkIf(star_exec.Interrupted(), '>',
                       TablePrinter::FormatSeconds(star_seconds)),
                   TablePrinter::FormatDouble(
                       star_seconds > 0 ? plain_seconds / star_seconds : 0.0,

@@ -26,8 +26,10 @@ int main() {
   for (const mbc::ExperimentDataset& dataset :
        mbc::LoadExperimentDatasets()) {
     const mbc::SignedGraph& graph = dataset.graph;
+    mbc::ExecutionContext exec;
     mbc::MbcStarOptions options;
-    options.time_limit_seconds = mbc::BaselineTimeLimitSeconds() * 6;
+    options.exec =
+        mbc::ConfigureRunContext(&exec, mbc::BaselineTimeLimitSeconds() * 6);
     const mbc::MbcStarResult best =
         mbc::MaxBalancedCliqueStar(graph, 3, options);
     const mbc::PolarizedCommunity clique_community{best.clique.left,

@@ -15,9 +15,9 @@
 
 namespace {
 
-std::string TimeOrLimit(double seconds, bool timed_out) {
+std::string TimeOrLimit(double seconds, const mbc::ExecutionContext& exec) {
   std::string formatted = mbc::TablePrinter::FormatSeconds(seconds);
-  if (timed_out) formatted.insert(0, 1, '>');
+  if (exec.Interrupted()) formatted.insert(0, 1, '>');
   return formatted;
 }
 
@@ -38,39 +38,42 @@ int main() {
     const mbc::SignedGraph& graph = dataset.graph;
 
     mbc::Timer timer;
+    mbc::ExecutionContext with_er_exec;
     mbc::MbcBaselineOptions baseline_options;
-    baseline_options.time_limit_seconds = limit;
-    const mbc::MbcBaselineResult with_er =
-        mbc::MaxBalancedCliqueBaseline(graph, tau, baseline_options);
+    baseline_options.exec = mbc::ConfigureRunContext(&with_er_exec, limit);
+    (void)mbc::MaxBalancedCliqueBaseline(graph, tau, baseline_options);
     const double mbc_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext no_er_exec;
     baseline_options.apply_edge_reduction = false;
-    const mbc::MbcBaselineResult no_er =
-        mbc::MaxBalancedCliqueBaseline(graph, tau, baseline_options);
+    baseline_options.exec = mbc::ConfigureRunContext(&no_er_exec, limit);
+    (void)mbc::MaxBalancedCliqueBaseline(graph, tau, baseline_options);
     const double noer_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_exec;
     mbc::MbcStarOptions star_options;
-    star_options.time_limit_seconds = limit * 6;
+    star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
     const mbc::MbcStarResult star =
         mbc::MaxBalancedCliqueStar(graph, tau, star_options);
     const double star_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_er_exec;
     star_options.apply_edge_reduction = true;
-    const mbc::MbcStarResult star_er =
-        mbc::MaxBalancedCliqueStar(graph, tau, star_options);
+    star_options.exec = mbc::ConfigureRunContext(&star_er_exec, limit * 6);
+    (void)mbc::MaxBalancedCliqueStar(graph, tau, star_options);
     const double star_er_seconds = timer.ElapsedSeconds();
 
     table.AddRow(
-        {dataset.spec.name, TimeOrLimit(mbc_seconds, with_er.timed_out),
-         TimeOrLimit(noer_seconds, no_er.timed_out),
-         TimeOrLimit(star_seconds, star.stats.timed_out),
-         TimeOrLimit(star_er_seconds, star_er.stats.timed_out),
+        {dataset.spec.name, TimeOrLimit(mbc_seconds, with_er_exec),
+         TimeOrLimit(noer_seconds, no_er_exec),
+         TimeOrLimit(star_seconds, star_exec),
+         TimeOrLimit(star_er_seconds, star_er_exec),
          TablePrinter::FormatDouble(
              star_seconds > 0 ? mbc_seconds / star_seconds : 0.0, 0) +
-             "x" + (with_er.timed_out ? "+" : ""),
+             "x" + (with_er_exec.Interrupted() ? "+" : ""),
          std::to_string(star.clique.size())});
   }
   std::printf("\n");

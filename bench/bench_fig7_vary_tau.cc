@@ -30,27 +30,29 @@ int main() {
        mbc::LoadExperimentDatasets()) {
     for (uint32_t tau = 3; tau <= 7; ++tau) {
       mbc::Timer timer;
+      mbc::ExecutionContext baseline_exec;
       mbc::MbcBaselineOptions baseline_options;
-      baseline_options.time_limit_seconds = limit;
+      baseline_options.exec = mbc::ConfigureRunContext(&baseline_exec, limit);
       const mbc::MbcBaselineResult baseline =
           mbc::MaxBalancedCliqueBaseline(dataset.graph, tau,
                                          baseline_options);
       const double baseline_seconds = timer.ElapsedSeconds();
 
       timer.Restart();
+      mbc::ExecutionContext star_exec;
       mbc::MbcStarOptions star_options;
-      star_options.time_limit_seconds = limit * 6;
+      star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
       const mbc::MbcStarResult star =
           mbc::MaxBalancedCliqueStar(dataset.graph, tau, star_options);
       const double star_seconds = timer.ElapsedSeconds();
 
       std::string baseline_cell =
           TablePrinter::FormatSeconds(baseline_seconds);
-      if (baseline.timed_out) baseline_cell.insert(0, 1, '>');
+      if (baseline_exec.Interrupted()) baseline_cell.insert(0, 1, '>');
       std::string speedup_cell = TablePrinter::FormatDouble(
           star_seconds > 0 ? baseline_seconds / star_seconds : 0.0, 0);
       speedup_cell += 'x';
-      if (baseline.timed_out) speedup_cell += '+';
+      if (baseline_exec.Interrupted()) speedup_cell += '+';
       table.AddRow(
           {dataset.spec.name, std::to_string(tau), baseline_cell,
            TablePrinter::FormatSeconds(star_seconds), speedup_cell,

@@ -29,47 +29,53 @@ int main() {
   for (const mbc::ExperimentDataset& dataset :
        mbc::LoadExperimentDatasets()) {
     mbc::Timer timer;
+    mbc::ExecutionContext adv_exec;
     mbc::MbcAdvOptions adv_options;
-    adv_options.time_limit_seconds = limit * 3;
-    const mbc::MbcAdvResult adv =
-        mbc::MaxBalancedCliqueAdv(dataset.graph, tau, adv_options);
+    adv_options.exec = mbc::ConfigureRunContext(&adv_exec, limit * 3);
+    (void)mbc::MaxBalancedCliqueAdv(dataset.graph, tau, adv_options);
     const double adv_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_exec;
     mbc::MbcStarOptions star_options;
-    star_options.time_limit_seconds = limit * 6;
+    star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
     const mbc::MbcStarResult star =
         mbc::MaxBalancedCliqueStar(dataset.graph, tau, star_options);
     const double star_seconds = timer.ElapsedSeconds();
     (void)star_seconds;
 
     timer.Restart();
+    mbc::ExecutionContext adv_noseed_exec;
     adv_options.run_heuristic = false;
+    adv_options.exec = mbc::ConfigureRunContext(&adv_noseed_exec, limit * 3);
     const mbc::MbcAdvResult adv_noseed =
         mbc::MaxBalancedCliqueAdv(dataset.graph, tau, adv_options);
     const double adv_noseed_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_noseed_exec;
     star_options.run_heuristic = false;
+    star_options.exec =
+        mbc::ConfigureRunContext(&star_noseed_exec, limit * 6);
     const mbc::MbcStarResult star_noseed =
         mbc::MaxBalancedCliqueStar(dataset.graph, tau, star_options);
     const double star_noseed_seconds = timer.ElapsedSeconds();
 
     table.AddRow(
         {dataset.spec.name,
-         TablePrinter::MarkIf(adv.timed_out, '>',
+         TablePrinter::MarkIf(adv_exec.Interrupted(), '>',
              TablePrinter::FormatSeconds(adv_seconds)),
          TablePrinter::FormatSeconds(star_seconds),
-         TablePrinter::MarkIf(adv_noseed.timed_out, '>',
+         TablePrinter::MarkIf(adv_noseed_exec.Interrupted(), '>',
              TablePrinter::FormatSeconds(adv_noseed_seconds)),
-         TablePrinter::MarkIf(star_noseed.stats.timed_out, '>',
+         TablePrinter::MarkIf(star_noseed_exec.Interrupted(), '>',
              TablePrinter::FormatSeconds(star_noseed_seconds)),
          TablePrinter::FormatDouble(
              star_noseed_seconds > 0
                  ? adv_noseed_seconds / star_noseed_seconds
                  : 0.0,
              1) +
-             "x" + (adv_noseed.timed_out ? "+" : ""),
+             "x" + (adv_noseed_exec.Interrupted() ? "+" : ""),
          TablePrinter::FormatCount(adv_noseed.branches),
          TablePrinter::FormatCount(star_noseed.stats.mdc_branches),
          std::to_string(star.clique.size())});

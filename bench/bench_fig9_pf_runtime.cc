@@ -26,10 +26,10 @@ int main() {
   for (const mbc::ExperimentDataset& dataset :
        mbc::LoadExperimentDatasets()) {
     mbc::Timer timer;
+    mbc::ExecutionContext pfe_exec;
     mbc::PfEOptions pfe_options;
-    pfe_options.time_limit_seconds = limit;
-    const mbc::PfEResult pfe =
-        mbc::PolarizationFactorEnum(dataset.graph, pfe_options);
+    pfe_options.exec = mbc::ConfigureRunContext(&pfe_exec, limit);
+    (void)mbc::PolarizationFactorEnum(dataset.graph, pfe_options);
     const double pfe_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
@@ -38,32 +38,33 @@ int main() {
     const double pfbs_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext dorder_exec;
     mbc::PfStarOptions dorder_options;
     dorder_options.ordering = mbc::PfStarOptions::Ordering::kDegeneracy;
-    dorder_options.time_limit_seconds = limit * 6;
-    const mbc::PfStarResult dorder =
-        mbc::PolarizationFactorStar(dataset.graph, dorder_options);
+    dorder_options.exec = mbc::ConfigureRunContext(&dorder_exec, limit * 6);
+    (void)mbc::PolarizationFactorStar(dataset.graph, dorder_options);
     const double dorder_seconds = timer.ElapsedSeconds();
 
     timer.Restart();
+    mbc::ExecutionContext star_exec;
     mbc::PfStarOptions star_options;
-    star_options.time_limit_seconds = limit * 6;
+    star_options.exec = mbc::ConfigureRunContext(&star_exec, limit * 6);
     const mbc::PfStarResult star =
         mbc::PolarizationFactorStar(dataset.graph, star_options);
     const double star_seconds = timer.ElapsedSeconds();
 
-    if (!star.stats.timed_out && pfbs_beta != star.beta) {
+    if (!star_exec.Interrupted() && pfbs_beta != star.beta) {
       std::fprintf(stderr, "BUG: PF-BS and PF* disagree on %s (%u vs %u)\n",
                    dataset.spec.name.c_str(), pfbs_beta, star.beta);
       return 1;
     }
     table.AddRow({dataset.spec.name,
-                  TablePrinter::MarkIf(pfe.timed_out, '>',
+                  TablePrinter::MarkIf(pfe_exec.Interrupted(), '>',
                       TablePrinter::FormatSeconds(pfe_seconds)),
                   TablePrinter::FormatSeconds(pfbs_seconds),
-                  TablePrinter::MarkIf(dorder.stats.timed_out, '>',
+                  TablePrinter::MarkIf(dorder_exec.Interrupted(), '>',
                       TablePrinter::FormatSeconds(dorder_seconds)),
-                  TablePrinter::MarkIf(star.stats.timed_out, '>',
+                  TablePrinter::MarkIf(star_exec.Interrupted(), '>',
                       TablePrinter::FormatSeconds(star_seconds)),
                   std::to_string(star.beta)});
   }

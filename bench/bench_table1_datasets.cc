@@ -25,12 +25,14 @@ int main() {
   for (const mbc::ExperimentDataset& dataset :
        mbc::LoadExperimentDatasets()) {
     mbc::Timer timer;
+    mbc::ExecutionContext mbc_exec;
     mbc::MbcStarOptions options;
-    options.time_limit_seconds = budget;
+    options.exec = mbc::ConfigureRunContext(&mbc_exec, budget);
     const mbc::MbcStarResult mbc_result =
         mbc::MaxBalancedCliqueStar(dataset.graph, 3, options);
+    mbc::ExecutionContext pf_exec;
     mbc::PfStarOptions pf_options;
-    pf_options.time_limit_seconds = budget;
+    pf_options.exec = mbc::ConfigureRunContext(&pf_exec, budget);
     const mbc::PfStarResult pf =
         mbc::PolarizationFactorStar(dataset.graph, pf_options);
     if (!mbc::IsBalancedClique(dataset.graph, mbc_result.clique)) {
@@ -44,9 +46,9 @@ int main() {
                   TablePrinter::FormatDouble(
                       dataset.graph.NegativeEdgeRatio(), 2),
                   std::to_string(mbc_result.clique.size()) +
-                      (mbc_result.stats.timed_out ? "*" : ""),
+                      (mbc_exec.Interrupted() ? "*" : ""),
                   std::to_string(dataset.spec.paper_cstar_tau3),
-                  std::to_string(pf.beta) + (pf.stats.timed_out ? "*" : ""),
+                  std::to_string(pf.beta) + (pf_exec.Interrupted() ? "*" : ""),
                   std::to_string(dataset.spec.paper_beta),
                   TablePrinter::FormatSeconds(timer.ElapsedSeconds())});
   }

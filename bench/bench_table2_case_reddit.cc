@@ -92,8 +92,10 @@ int main() {
   const double star_seconds = star_timer.ElapsedSeconds();
 
   std::map<size_t, uint64_t> size_histogram;
+  mbc::ExecutionContext enum_exec;
   mbc::MbcEnumOptions enum_options;
-  enum_options.time_limit_seconds = mbc::BaselineTimeLimitSeconds() * 6;
+  enum_options.exec = mbc::ConfigureRunContext(
+      &enum_exec, mbc::BaselineTimeLimitSeconds() * 6);
   mbc::Timer enum_timer;
   const mbc::MbcEnumStats enum_stats = mbc::EnumerateMaximalBalancedCliques(
       graph, spec.paper_beta,

@@ -89,8 +89,10 @@ int main() {
 
   uint64_t count = 0;
   size_t largest = 0;
+  mbc::ExecutionContext enum_exec;
   mbc::MbcEnumOptions enum_options;
-  enum_options.time_limit_seconds = mbc::BaselineTimeLimitSeconds() * 6;
+  enum_options.exec = mbc::ConfigureRunContext(
+      &enum_exec, mbc::BaselineTimeLimitSeconds() * 6);
   mbc::Timer enum_timer;
   const mbc::MbcEnumStats enum_stats = mbc::EnumerateMaximalBalancedCliques(
       graph, spec.paper_beta,

@@ -23,12 +23,14 @@ int main() {
                       "pfHeu", "#DCC", "pfSR1", "pfSR2"});
   for (const mbc::ExperimentDataset& dataset :
        mbc::LoadExperimentDatasets()) {
+    mbc::ExecutionContext star_exec;
     mbc::MbcStarOptions star_options;
-    star_options.time_limit_seconds = limit;
+    star_options.exec = mbc::ConfigureRunContext(&star_exec, limit);
     const mbc::MbcStarResult star =
         mbc::MaxBalancedCliqueStar(dataset.graph, 3, star_options);
+    mbc::ExecutionContext pf_exec;
     mbc::PfStarOptions pf_options;
-    pf_options.time_limit_seconds = limit;
+    pf_options.exec = mbc::ConfigureRunContext(&pf_exec, limit);
     const mbc::PfStarResult pf =
         mbc::PolarizationFactorStar(dataset.graph, pf_options);
     table.AddRow({dataset.spec.name,

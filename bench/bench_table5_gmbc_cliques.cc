@@ -26,14 +26,16 @@ int main() {
   mbc::PrintExperimentHeader(
       "Distinct maximum balanced cliques across all tau", "Table V");
 
-  mbc::GeneralizedMbcOptions budget;
-  budget.time_limit_seconds = mbc::BaselineTimeLimitSeconds() * 6;
+  const double budget = mbc::BaselineTimeLimitSeconds() * 6;
 
   TablePrinter table({"Dataset", "beta", "|C|", "C^beta", "->", "C^0"});
   for (const mbc::ExperimentDataset& dataset :
        mbc::LoadExperimentDatasets()) {
+    mbc::ExecutionContext exec;
+    mbc::GeneralizedMbcOptions options;
+    options.exec = mbc::ConfigureRunContext(&exec, budget);
     const mbc::GeneralizedMbcResult result =
-        mbc::GeneralizedMbcStar(dataset.graph, budget);
+        mbc::GeneralizedMbcStar(dataset.graph, options);
     if (result.cliques.empty()) {
       table.AddRow({dataset.spec.name, "0", "0", "-", "", "-"});
       continue;

@@ -56,10 +56,11 @@ int main() {
               trusted.size());
 
   // 3. Maximum (α, k)-clique with α = 1, k = 2.
+  mbc::ExecutionContext ak_exec(mbc::Deadline::After(30.0));
   mbc::AlphaKCliqueOptions ak;
   ak.alpha = 1.0;
   ak.k = 2;
-  ak.time_limit_seconds = 30.0;
+  ak.exec = &ak_exec;
   const mbc::AlphaKCliqueResult alpha_k = mbc::MaxAlphaKClique(graph, ak);
   std::printf("maximum (1,2)-clique:               %zu vertices "
               "(balance structure ignored)\n",

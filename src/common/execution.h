@@ -14,7 +14,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 
 #include "src/common/macros.h"
 #include "src/common/memory.h"
@@ -180,18 +179,13 @@ class ExecutionContext {
 };
 
 /// Resolves the governor for one solver call: yields the caller-supplied
-/// shared context when present, otherwise a local context whose deadline
-/// comes from the legacy `time_limit_seconds` option. Keeps every solver
-/// entry point backward compatible while routing all interrupt checks
-/// through a single ExecutionContext.
+/// shared context when present, otherwise a local unlimited context. The
+/// local context still probes MBC_FAULT_INJECT, so every interrupt check
+/// goes through a single ExecutionContext either way.
 class ExecutionScope {
  public:
-  ExecutionScope(ExecutionContext* shared,
-                 std::optional<double> time_limit_seconds)
-      : local_(shared == nullptr && time_limit_seconds.has_value()
-                   ? Deadline::After(*time_limit_seconds)
-                   : Deadline::Infinite()),
-        exec_(shared != nullptr ? shared : &local_) {}
+  explicit ExecutionScope(ExecutionContext* shared)
+      : exec_(shared != nullptr ? shared : &local_) {}
 
   ExecutionScope(const ExecutionScope&) = delete;
   ExecutionScope& operator=(const ExecutionScope&) = delete;

@@ -37,7 +37,6 @@ class AdvSearcher {
   }
 
   uint64_t branches() const { return branches_; }
-  bool timed_out() const { return timed_out_; }
 
  private:
   void Recurse(Bitset p_l, Bitset p_r, int32_t tau_l, int32_t tau_r) {
@@ -135,7 +134,7 @@ class AdvSearcher {
 MbcAdvResult MaxBalancedCliqueAdv(const SignedGraph& graph, uint32_t tau,
                                   const MbcAdvOptions& options) {
   MbcAdvResult result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   ReducedSignedGraph reduced = ApplyVertexReduction(graph, tau);
@@ -221,7 +220,6 @@ MbcAdvResult MaxBalancedCliqueAdv(const SignedGraph& graph, uint32_t tau,
   }
 
   result.interrupt_reason = exec->reason();
-  result.timed_out = exec->Interrupted();
   result.clique = std::move(best);
   return result;
 }

@@ -11,7 +11,6 @@
 #define MBC_CORE_MBC_ADV_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/core/balanced_clique.h"
@@ -20,20 +19,16 @@
 namespace mbc {
 
 struct MbcAdvOptions {
-  /// Abort after this many seconds, returning the best clique found.
-  /// Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
   /// Seed with MBC-Heu (disable to expose pure search behaviour, e.g. in
   /// the Figure 8 transformation comparison).
   bool run_heuristic = true;
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor; on an interrupt the best clique found so
+  /// far is returned. Owned by the caller; may be null (unlimited run).
   ExecutionContext* exec = nullptr;
 };
 
 struct MbcAdvResult {
   BalancedClique clique;
-  bool timed_out = false;
   /// Why the run stopped early (kNone = ran to completion, exact answer).
   InterruptReason interrupt_reason = InterruptReason::kNone;
   uint64_t num_networks_built = 0;

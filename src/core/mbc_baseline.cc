@@ -128,7 +128,7 @@ MbcBaselineResult MaxBalancedCliqueBaseline(const SignedGraph& graph,
                                             uint32_t tau,
                                             const MbcBaselineOptions& options) {
   MbcBaselineResult result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   Timer phase;
@@ -148,7 +148,6 @@ MbcBaselineResult MaxBalancedCliqueBaseline(const SignedGraph& graph,
   enumerator.Run(&left, &right, &result.recursive_calls);
   result.search_seconds = phase.ElapsedSeconds();
   result.interrupt_reason = exec->reason();
-  result.timed_out = exec->Interrupted();
 
   result.clique.left = std::move(left);
   result.clique.right = std::move(right);

@@ -8,7 +8,6 @@
 #define MBC_CORE_MBC_BASELINE_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/core/balanced_clique.h"
@@ -21,19 +20,14 @@ struct MbcBaselineOptions {
   /// MBC-noER variant sets this to false.
   bool apply_edge_reduction = true;
 
-  /// Abort the search after this many seconds, returning the best clique
-  /// found so far with `timed_out` set. Unset = run to completion.
-  /// Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor. On an interrupt the best clique found so
+  /// far is returned with `interrupt_reason` set. Owned by the caller; may
+  /// be null (run to completion).
   ExecutionContext* exec = nullptr;
 };
 
 struct MbcBaselineResult {
   BalancedClique clique;
-  bool timed_out = false;
   /// Why the run stopped early (kNone = ran to completion, exact answer).
   InterruptReason interrupt_reason = InterruptReason::kNone;
   /// Number of Enum(...) invocations.

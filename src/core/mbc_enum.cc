@@ -167,7 +167,7 @@ MbcEnumStats EnumerateMaximalBalancedCliques(
     const std::function<void(const BalancedClique&)>& callback,
     const MbcEnumOptions& options) {
   MbcEnumStats stats;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   SignedGraph reduced_storage;

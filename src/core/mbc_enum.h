@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/core/balanced_clique.h"
@@ -29,11 +28,8 @@ struct MbcEnumOptions {
   /// Stop after reporting this many cliques (0 = unlimited).
   uint64_t max_cliques = 0;
 
-  /// Abort after this many seconds. Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor. Owned by the caller; may be null
+  /// (unlimited run).
   ExecutionContext* exec = nullptr;
 };
 

@@ -168,11 +168,10 @@ BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
 MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
                                 const MbcHeuOptions& options) {
   MbcHeuResult result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
   const auto finish = [&]() -> MbcHeuResult& {
     result.stats.interrupt_reason = exec->reason();
-    result.stats.timed_out = exec->Interrupted();
     return result;
   };
   if (graph.NumVertices() == 0) return finish();

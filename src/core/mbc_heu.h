@@ -21,7 +21,6 @@
 #define MBC_CORE_MBC_HEU_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/core/balanced_clique.h"
@@ -61,13 +60,9 @@ struct MbcHeuOptions {
   /// defaults of this struct are also the defaults of `mbc_cli heu`.
   uint32_t degeneracy_anchors = 4;
 
-  /// Wall-clock safety budget (unset = unlimited). Ignored when `exec`
-  /// is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null. On interrupt the best clique found
-  /// so far is returned (valid, possibly smaller than a full run's).
+  /// Shared execution governor. Owned by the caller; may be null
+  /// (unlimited run). On interrupt the best clique found so far is
+  /// returned (valid, possibly smaller than a full run's).
   ExecutionContext* exec = nullptr;
 };
 
@@ -78,8 +73,7 @@ struct MbcHeuStats {
   uint64_t ls_iterations = 0;
   /// Rounds that improved the incumbent of their anchor.
   uint64_t ls_improvements = 0;
-  /// True iff the run was interrupted before completing.
-  bool timed_out = false;
+  /// Why the run stopped early (kNone = ran to completion).
   InterruptReason interrupt_reason = InterruptReason::kNone;
 };
 

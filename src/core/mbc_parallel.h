@@ -21,7 +21,6 @@
 #define MBC_CORE_MBC_PARALLEL_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/core/mbc_star.h"
@@ -40,12 +39,10 @@ struct ParallelMbcOptions {
   /// clique, so the published result stays the lex-min optimum whatever
   /// the seed. Owned by the caller; may be null.
   const BalancedClique* initial_clique = nullptr;
-  /// Wall-clock safety budget (unset = unlimited). Ignored when `exec`
-  /// is supplied.
-  std::optional<double> time_limit_seconds;
   /// Shared execution governor. All workers probe the same context, so
   /// cancelling it (from any thread) stops the whole search; the best
-  /// clique found so far is returned. Owned by the caller; may be null.
+  /// clique found so far is returned. Owned by the caller; may be null
+  /// (unlimited run).
   ExecutionContext* exec = nullptr;
   /// Ego networks whose pruned candidate count reaches this many vertices
   /// are split at the top-level MDC branching frontier into independent
@@ -73,8 +70,6 @@ struct ParallelMbcResult {
   /// Times the published global incumbent changed (size growth or a
   /// canonical tie-break replacement), beyond the heuristic seed.
   uint64_t num_incumbent_updates = 0;
-  /// True iff the run was interrupted before completing the search.
-  bool timed_out = false;
   /// Why the run stopped early (kNone = ran to completion, exact answer).
   InterruptReason interrupt_reason = InterruptReason::kNone;
 };

@@ -601,7 +601,7 @@ MbcStarResult MaxBalancedCliqueStar(const SignedGraph& graph, uint32_t tau,
                                     const MbcStarOptions& options) {
   MbcStarResult result;
   MbcStarStats& stats = result.stats;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   GlobalIncumbent incumbent(/*tie_mode=*/false);
@@ -619,7 +619,6 @@ MbcStarResult MaxBalancedCliqueStar(const SignedGraph& graph, uint32_t tau,
   }
 
   stats.interrupt_reason = exec->reason();
-  stats.timed_out = exec->Interrupted();
   result.clique = std::move(incumbent.best);
   return result;
 }
@@ -628,7 +627,7 @@ ParallelMbcResult ParallelMaxBalancedCliqueStar(
     const SignedGraph& graph, uint32_t tau,
     const ParallelMbcOptions& options) {
   ParallelMbcResult result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   MbcStarOptions seeding;
@@ -660,7 +659,6 @@ ParallelMbcResult ParallelMaxBalancedCliqueStar(
   result.clique = std::move(global.best);
   result.num_incumbent_updates = global.updates.load(std::memory_order_relaxed);
   result.interrupt_reason = exec->reason();
-  result.timed_out = exec->Interrupted();
   return result;
 }
 

@@ -16,7 +16,6 @@
 #define MBC_CORE_MBC_STAR_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/core/balanced_clique.h"
@@ -44,16 +43,11 @@ struct MbcStarOptions {
   /// optimization, Section IV-B).
   bool existence_only = false;
 
-  /// Wall-clock safety budget (unset = unlimited, the paper's setting).
-  /// On expiry the best clique found so far is returned with
-  /// stats.timed_out set; it is valid but possibly not maximum.
-  /// Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
-
   /// Shared execution governor (deadline, cancellation, memory budget,
-  /// fault injection). Takes precedence over time_limit_seconds. Owned by
-  /// the caller; may be null, in which case a private context is derived
-  /// from time_limit_seconds.
+  /// fault injection). On an interrupt the best clique found so far is
+  /// returned with stats.interrupt_reason set; it is valid but possibly
+  /// not maximum. Owned by the caller; may be null, in which case the run
+  /// is unlimited (the paper's setting).
   ExecutionContext* exec = nullptr;
 
   /// Ablation switches for the two classic prunings (Lemmas 1 and 2);
@@ -89,8 +83,6 @@ struct MbcStarStats {
   double reduction_seconds = 0.0;
   double heuristic_seconds = 0.0;
   double search_seconds = 0.0;
-  /// True iff the run was interrupted (any reason) before completion.
-  bool timed_out = false;
   /// Why the run stopped early (kNone = ran to completion, exact answer).
   InterruptReason interrupt_reason = InterruptReason::kNone;
 };

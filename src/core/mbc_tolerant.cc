@@ -390,7 +390,6 @@ MbcTolerantResult MaxTolerantBalancedClique(const SignedGraph& graph,
     // and its witness is byte-identical to a direct exact query.
     MbcStarOptions star;
     star.initial_clique = options.initial_clique;
-    star.time_limit_seconds = options.time_limit_seconds;
     star.exec = options.exec;
     MbcStarResult exact = MaxBalancedCliqueStar(graph, tau, star);
     MbcTolerantResult result;
@@ -398,12 +397,11 @@ MbcTolerantResult MaxTolerantBalancedClique(const SignedGraph& graph,
     result.frustrated_edges = 0;
     result.stats.branches = exact.stats.mdc_branches;
     result.stats.num_networks_built = exact.stats.num_networks_built;
-    result.stats.timed_out = exact.stats.timed_out;
     result.stats.interrupt_reason = exact.stats.interrupt_reason;
     return result;
   }
 
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
   MbcTolerantStats stats;
   TolerantKernel kernel(graph, tau, tolerance, exec, &stats);
@@ -454,7 +452,6 @@ MbcTolerantResult MaxTolerantBalancedClique(const SignedGraph& graph,
 
   MbcTolerantResult result = std::move(kernel).TakeResult();
   result.stats = stats;
-  result.stats.timed_out = exec->Interrupted();
   result.stats.interrupt_reason = exec->reason();
   return result;
 }

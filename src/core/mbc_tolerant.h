@@ -56,12 +56,8 @@ struct MbcTolerantOptions {
   /// kernel.
   bool seed_exact = true;
 
-  /// Wall-clock safety budget (unset = unlimited). Ignored when `exec`
-  /// is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor. Owned by the caller; may be null
+  /// (unlimited run).
   ExecutionContext* exec = nullptr;
 };
 
@@ -70,9 +66,9 @@ struct MbcTolerantStats {
   uint64_t branches = 0;
   /// Ego networks that survived pruning and were searched.
   uint64_t num_networks_built = 0;
-  /// True iff the run was interrupted before completing; the returned
-  /// clique is still feasible but possibly not maximum.
-  bool timed_out = false;
+  /// Why the run stopped early (kNone = ran to completion). On an
+  /// interrupt the returned clique is still feasible but possibly not
+  /// maximum.
   InterruptReason interrupt_reason = InterruptReason::kNone;
 };
 

@@ -74,7 +74,6 @@ class MdcSolver {
   /// a valid (possibly non-optimal) clique. `exec` must outlive the
   /// solver; nullptr disables governance.
   void SetExecution(ExecutionContext* exec) { exec_ = exec; }
-  bool timed_out() const { return interrupted_; }
   /// Why the last Solve call stopped early (kNone if it ran to completion).
   InterruptReason interrupt_reason() const {
     return interrupted_ ? exec_->reason() : InterruptReason::kNone;

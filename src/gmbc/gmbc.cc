@@ -23,7 +23,7 @@ GeneralizedMbcResult GeneralizedMbc(const SignedGraph& graph,
   GeneralizedMbcResult result;
   // One governor spans the whole sweep: the deadline is absolute, so the
   // per-τ runs share the budget without any remaining-time bookkeeping.
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
   for (uint32_t tau = 0;; ++tau) {
     ++result.num_mbc_calls;
@@ -35,7 +35,6 @@ GeneralizedMbcResult GeneralizedMbc(const SignedGraph& graph,
     if (exec->Interrupted()) break;
   }
   result.interrupt_reason = exec->reason();
-  result.timed_out = exec->Interrupted();
   result.beta = result.cliques.empty()
                     ? 0
                     : static_cast<uint32_t>(result.cliques.size() - 1);
@@ -45,9 +44,12 @@ GeneralizedMbcResult GeneralizedMbc(const SignedGraph& graph,
 GeneralizedMbcResult GeneralizedMbcStar(const SignedGraph& graph,
                                         const GeneralizedMbcOptions& options) {
   GeneralizedMbcResult result;
-  if (graph.NumVertices() == 0) return result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
+  if (graph.NumVertices() == 0) {
+    result.interrupt_reason = exec->reason();
+    return result;
+  }
 
   // Line 1: β(G) via PF*.
   PfStarOptions pf_options;
@@ -81,7 +83,6 @@ GeneralizedMbcResult GeneralizedMbcStar(const SignedGraph& graph,
     incumbent = std::move(mbc.clique);
   }
   result.interrupt_reason = exec->reason();
-  result.timed_out = exec->Interrupted();
   return result;
 }
 

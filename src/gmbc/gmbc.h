@@ -12,7 +12,6 @@
 #define MBC_GMBC_GMBC_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/common/execution.h"
@@ -22,16 +21,11 @@
 namespace mbc {
 
 struct GeneralizedMbcOptions {
-  /// Overall wall-clock budget across all per-τ runs (unset = unlimited,
-  /// the paper's setting). On expiry, remaining thresholds inherit the
-  /// best-known feasible clique (gMBC*) or stop the upward sweep (gMBC),
-  /// and `timed_out` is set: sizes are then lower bounds.
-  /// Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
-
   /// Shared execution governor spanning the whole sweep (PF* plus every
-  /// per-τ MBC* run); takes precedence over time_limit_seconds. Owned by
-  /// the caller; may be null.
+  /// per-τ MBC* run). On an interrupt, remaining thresholds inherit the
+  /// best-known feasible clique (gMBC*) or stop the upward sweep (gMBC),
+  /// and `interrupt_reason` is set: sizes are then lower bounds. Owned by
+  /// the caller; may be null (unlimited, the paper's setting).
   ExecutionContext* exec = nullptr;
 };
 
@@ -42,8 +36,6 @@ struct GeneralizedMbcResult {
   uint32_t beta = 0;
   /// Number of MBC* invocations (PF* not included).
   uint32_t num_mbc_calls = 0;
-  /// True iff the sweep was interrupted (any reason).
-  bool timed_out = false;
   /// Why the sweep stopped early (kNone = ran to completion, exact).
   InterruptReason interrupt_reason = InterruptReason::kNone;
 

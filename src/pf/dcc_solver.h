@@ -47,11 +47,11 @@ class DccSolver {
   size_t ArenaMemoryBytes() const { return arena_.MemoryBytes(); }
 
   /// Optional execution governor (see MdcSolver::SetExecution). On an
-  /// interrupt Check returns false conservatively and timed_out() reports
-  /// it. `exec` must outlive the solver; nullptr disables governance.
+  /// interrupt Check returns false conservatively and interrupt_reason()
+  /// reports it. `exec` must outlive the solver; nullptr disables
+  /// governance.
   void SetExecution(ExecutionContext* exec) { exec_ = exec; }
 
-  bool timed_out() const { return interrupted_; }
   /// Why the last Check call stopped early (kNone if it ran to completion).
   InterruptReason interrupt_reason() const {
     return interrupted_ ? exec_->reason() : InterruptReason::kNone;

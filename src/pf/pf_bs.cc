@@ -10,7 +10,7 @@ namespace mbc {
 PfBsResult PolarizationFactorBinarySearch(const SignedGraph& graph,
                                           const PfBsOptions& options) {
   PfBsResult result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
   // Upper bound from the paper: β(G) ≤ max_v min{d+(v) + 1, d-(v)}.
   uint32_t hi = 0;
@@ -44,7 +44,6 @@ PfBsResult PolarizationFactorBinarySearch(const SignedGraph& graph,
   }
   result.beta = lo;
   result.interrupt_reason = exec->reason();
-  result.timed_out = exec->Interrupted();
   return result;
 }
 

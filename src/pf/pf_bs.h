@@ -6,7 +6,6 @@
 #define MBC_PF_PF_BS_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/graph/signed_graph.h"
@@ -14,12 +13,8 @@
 namespace mbc {
 
 struct PfBsOptions {
-  /// Wall-clock safety budget (unset = unlimited). Ignored when `exec`
-  /// is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor. Owned by the caller; may be null
+  /// (unlimited run).
   ExecutionContext* exec = nullptr;
 };
 
@@ -27,10 +22,9 @@ struct PfBsResult {
   uint32_t beta = 0;
   /// Number of MBC* invocations performed by the binary search.
   uint32_t num_probes = 0;
-  /// True iff the search was interrupted; `beta` is then only a valid
-  /// lower bound (lo is raised exclusively on confirmed existence).
-  bool timed_out = false;
   /// Why the run stopped early (kNone = ran to completion, exact answer).
+  /// On an interrupt `beta` is only a valid lower bound (lo is raised
+  /// exclusively on confirmed existence).
   InterruptReason interrupt_reason = InterruptReason::kNone;
 };
 

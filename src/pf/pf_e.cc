@@ -13,7 +13,6 @@ PfEResult PolarizationFactorEnum(const SignedGraph& graph,
   // β ≥ 1 requires a clique with at least one vertex per side; enumerate
   // with τ = 1 (β defaults to 0 when nothing qualifies).
   MbcEnumOptions enum_options;
-  enum_options.time_limit_seconds = options.time_limit_seconds;
   enum_options.exec = options.exec;
   const MbcEnumStats stats = EnumerateMaximalBalancedCliques(
       graph, /*tau=*/1,
@@ -22,7 +21,6 @@ PfEResult PolarizationFactorEnum(const SignedGraph& graph,
             std::max(result.beta, static_cast<uint32_t>(clique.MinSide()));
       },
       enum_options);
-  result.timed_out = stats.truncated;
   result.interrupt_reason = stats.interrupt_reason;
   result.cliques_enumerated = stats.num_reported;
   return result;

@@ -7,7 +7,6 @@
 #define MBC_PF_PF_E_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/graph/signed_graph.h"
@@ -15,18 +14,13 @@
 namespace mbc {
 
 struct PfEOptions {
-  /// Abort after this many seconds; the result is then a lower bound.
-  /// Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor; on an interrupt the result is a lower
+  /// bound. Owned by the caller; may be null (unlimited run).
   ExecutionContext* exec = nullptr;
 };
 
 struct PfEResult {
   uint32_t beta = 0;
-  bool timed_out = false;
   /// Why the run stopped early (kNone = ran to completion, exact answer).
   InterruptReason interrupt_reason = InterruptReason::kNone;
   uint64_t cliques_enumerated = 0;

@@ -21,7 +21,7 @@ PfStarResult PolarizationFactorStar(const SignedGraph& graph,
                                     const PfStarOptions& options) {
   PfStarResult result;
   PfStarStats& stats = result.stats;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
 
   // Line 1: heuristic lower bound τ* = min side of MBC-Heu(G, 0).
@@ -47,7 +47,6 @@ PfStarResult PolarizationFactorStar(const SignedGraph& graph,
   const SignedGraph& work = reduced.graph;
   if (work.NumVertices() == 0) {
     stats.interrupt_reason = exec->reason();
-    stats.timed_out = exec->Interrupted();
     result.beta = tau;
     return result;
   }
@@ -170,7 +169,6 @@ PfStarResult PolarizationFactorStar(const SignedGraph& graph,
     stats.avg_sr2 = sr2_sum / static_cast<double>(sr_count);
   }
   stats.interrupt_reason = exec->reason();
-  stats.timed_out = exec->Interrupted();
   result.beta = tau;
   return result;
 }

@@ -8,7 +8,6 @@
 #define MBC_PF_PF_STAR_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "src/common/execution.h"
 #include "src/core/balanced_clique.h"
@@ -34,13 +33,9 @@ struct PfStarOptions {
   /// Owned by the caller; may be null.
   const BalancedClique* initial_clique = nullptr;
 
-  /// Wall-clock safety budget (unset = unlimited, the paper's setting).
-  /// On expiry the current τ* is returned (a valid lower bound of β) with
-  /// stats.timed_out set. Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
-
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor. On an interrupt the current τ* is
+  /// returned (a valid lower bound of β) with stats.interrupt_reason set.
+  /// Owned by the caller; may be null (unlimited, the paper's setting).
   ExecutionContext* exec = nullptr;
 
   /// Caller-owned DCC solver to run the checks through instead of a
@@ -58,8 +53,6 @@ struct PfStarStats {
   /// Average SR1 / SR2 over DCC instances (see MbcStarStats); -1 if none.
   double avg_sr1 = -1.0;
   double avg_sr2 = -1.0;
-  /// True iff the run was interrupted (any reason) before completion.
-  bool timed_out = false;
   /// Why the run stopped early (kNone = ran to completion, exact answer).
   InterruptReason interrupt_reason = InterruptReason::kNone;
 };

@@ -249,10 +249,13 @@ class AlphaKSearcher {
 AlphaKCliqueResult MaxAlphaKClique(const SignedGraph& graph,
                                    const AlphaKCliqueOptions& options) {
   AlphaKCliqueResult result;
-  const VertexId n = graph.NumVertices();
-  if (n == 0) return result;
-  ExecutionScope scope(options.exec, options.time_limit_seconds);
+  ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
+  const VertexId n = graph.NumVertices();
+  if (n == 0) {
+    result.interrupt_reason = exec->reason();
+    return result;
+  }
 
   const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
   SignedEgoNetworkBuilder builder(graph);
@@ -286,7 +289,6 @@ AlphaKCliqueResult MaxAlphaKClique(const SignedGraph& graph,
   if (best.empty() && options.alpha * options.k <= 0.0) best.push_back(0);
   result.clique = std::move(best);
   result.interrupt_reason = exec->reason();
-  result.timed_out = exec->Interrupted();
   return result;
 }
 

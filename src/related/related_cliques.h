@@ -18,7 +18,6 @@
 #define MBC_RELATED_RELATED_CLIQUES_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/common/execution.h"
@@ -40,16 +39,13 @@ struct AlphaKCliqueOptions {
   uint32_t k = 1;
   /// ...and must have at least `alpha * k` positive neighbors inside.
   double alpha = 1.0;
-  /// Wall-clock safety budget. Ignored when `exec` is supplied.
-  std::optional<double> time_limit_seconds;
-  /// Shared execution governor; takes precedence over time_limit_seconds.
-  /// Owned by the caller; may be null.
+  /// Shared execution governor. Owned by the caller; may be null
+  /// (unlimited run).
   ExecutionContext* exec = nullptr;
 };
 
 struct AlphaKCliqueResult {
   std::vector<VertexId> clique;
-  bool timed_out = false;
   /// Why the run stopped early (kNone = ran to completion, exact answer).
   InterruptReason interrupt_reason = InterruptReason::kNone;
 };

@@ -569,7 +569,6 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
         MemoryBudget::Limit(request.memory_limit_mb << 20));
   }
 
-  InterruptReason interrupt = InterruptReason::kNone;
   switch (request.kind) {
     case QueryKind::kMbc: {
       // Warm start: run the heuristic tier inline (under the same
@@ -608,7 +607,6 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
             ParallelMaxBalancedCliqueStar(graph, request.tau, options);
         ReleaseParallelTokens(granted);
         response.result.clique = std::move(result.clique);
-        interrupt = result.interrupt_reason;
         state.steals += result.num_steals;
         state.splits += result.num_splits;
         state.incumbent_updates += result.num_incumbent_updates;
@@ -617,23 +615,18 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
         options.exec = &exec;
         options.shared_solver = &state.mdc_solver;
         options.initial_clique = initial;
-        MbcStarResult result =
-            MaxBalancedCliqueStar(graph, request.tau, options);
-        response.result.clique = std::move(result.clique);
-        interrupt = result.stats.interrupt_reason;
+        response.result.clique =
+            MaxBalancedCliqueStar(graph, request.tau, options).clique;
       } else if (algo == "baseline") {
         MbcBaselineOptions options;
         options.exec = &exec;
-        MbcBaselineResult result =
-            MaxBalancedCliqueBaseline(graph, request.tau, options);
-        response.result.clique = std::move(result.clique);
-        interrupt = result.interrupt_reason;
+        response.result.clique =
+            MaxBalancedCliqueBaseline(graph, request.tau, options).clique;
       } else if (algo == "adv") {
         MbcAdvOptions options;
         options.exec = &exec;
-        MbcAdvResult result = MaxBalancedCliqueAdv(graph, request.tau, options);
-        response.result.clique = std::move(result.clique);
-        interrupt = result.interrupt_reason;
+        response.result.clique =
+            MaxBalancedCliqueAdv(graph, request.tau, options).clique;
       } else {
         response.status =
             Status::InvalidArgument("unknown mbc algo '" + algo + "'");
@@ -651,10 +644,9 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
       }
       MbcHeuOptions options;
       options.exec = &exec;
-      MbcHeuResult result = MbcHeuristicSearch(graph, request.tau, options);
       // MbcHeuristicSearch already canonicalizes its witness.
-      response.result.clique = std::move(result.clique);
-      interrupt = result.stats.interrupt_reason;
+      response.result.clique =
+          MbcHeuristicSearch(graph, request.tau, options).clique;
       break;
     }
     case QueryKind::kMbcTol: {
@@ -670,7 +662,6 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
           graph, request.tau, request.tolerance, options);
       response.result.clique = std::move(result.clique);
       response.result.frustrated = result.frustrated_edges;
-      interrupt = result.stats.interrupt_reason;
       break;
     }
     case QueryKind::kPf: {
@@ -678,15 +669,12 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
         PfStarOptions options;
         options.exec = &exec;
         options.shared_solver = &state.dcc_solver;
-        PfStarResult result = PolarizationFactorStar(graph, options);
-        response.result.beta = result.beta;
-        interrupt = result.stats.interrupt_reason;
+        response.result.beta = PolarizationFactorStar(graph, options).beta;
       } else if (algo == "bs") {
         PfBsOptions options;
         options.exec = &exec;
-        PfBsResult result = PolarizationFactorBinarySearch(graph, options);
-        response.result.beta = result.beta;
-        interrupt = result.interrupt_reason;
+        response.result.beta =
+            PolarizationFactorBinarySearch(graph, options).beta;
       } else {
         response.status =
             Status::InvalidArgument("unknown pf algo '" + algo + "'");
@@ -717,11 +705,13 @@ QueryResponse QueryService::Execute(WorkerState& state, const Task& task) {
       // on request.witnesses) so one cache entry serves both shapes.
       for (BalancedClique& clique : result.cliques) clique.Canonicalize();
       response.result.gmbc_cliques = std::move(result.cliques);
-      interrupt = result.interrupt_reason;
       break;
     }
   }
 
+  // Every solver above reports `exec.reason()` as its verdict, and nothing
+  // sets the reason after it returns, so it is the whole query's verdict.
+  const InterruptReason interrupt = exec.reason();
   if (interrupt != InterruptReason::kNone) {
     // Partial answers stay in `result` (best-effort), but are reported as
     // interrupted and never cached: a later identical query must re-run.

@@ -2,7 +2,7 @@
 //
 // Unit tests for the execution governor: deadline semantics, sticky
 // first-reason-wins interrupts, checkpoint amortization, deterministic
-// fault injection, and the ExecutionScope legacy-option bridge.
+// fault injection, and ExecutionScope (shared context, else a local one).
 #include "src/common/execution.h"
 
 #include <thread>
@@ -150,20 +150,19 @@ TEST(ExecutionContextTest, ConcurrentProbesRecordExactlyOneReason) {
 TEST(ExecutionScopeTest, PrefersSharedContext) {
   ExecutionContext shared;
   shared.RequestCancel();
-  ExecutionScope scope(&shared, /*time_limit_seconds=*/1e6);
+  ExecutionScope scope(&shared);
   EXPECT_EQ(scope.get(), &shared);
   EXPECT_TRUE(scope->Probe());
   EXPECT_EQ(scope->reason(), InterruptReason::kCancelled);
 }
 
-TEST(ExecutionScopeTest, BuildsLocalDeadlineFromLegacyOption) {
-  ExecutionScope zero(nullptr, 0.0);
-  EXPECT_TRUE(zero->Interrupted());
-  EXPECT_EQ(zero->reason(), InterruptReason::kDeadline);
-
-  ExecutionScope unlimited(nullptr, std::nullopt);
-  EXPECT_FALSE(unlimited->Probe());
-  EXPECT_TRUE(unlimited->deadline().IsInfinite());
+TEST(ExecutionScopeTest, NullContextYieldsUnlimitedLocal) {
+  ExecutionScope scope(nullptr);
+  ASSERT_NE(scope.get(), nullptr);
+  EXPECT_FALSE(scope->Probe());
+  EXPECT_EQ(scope->reason(), InterruptReason::kNone);
+  EXPECT_TRUE(scope->deadline().IsInfinite());
+  EXPECT_TRUE(scope->memory_budget().Unlimited());
 }
 
 TEST(InterruptReasonTest, NamesAndStatusMapping) {

@@ -34,7 +34,6 @@ TEST(CancellationTest, PreCancelledContextReturnsImmediately) {
   options.exec = &exec;
   const ParallelMbcResult result =
       ParallelMaxBalancedCliqueStar(graph, 2, options);
-  EXPECT_TRUE(result.timed_out);
   EXPECT_EQ(result.interrupt_reason, InterruptReason::kCancelled);
   EXPECT_TRUE(IsBalancedClique(graph, result.clique));
 }
@@ -64,7 +63,6 @@ TEST(CancellationTest, CrossThreadCancelStopsParallelSolverPromptly) {
   const double elapsed = timer.ElapsedSeconds();
   canceller.join();
 
-  EXPECT_TRUE(result.timed_out);
   EXPECT_EQ(result.interrupt_reason, InterruptReason::kCancelled);
   // Prompt return: cancel fires at ~75ms; each worker stops at its next
   // checkpoint. Allow generous slack for slow CI machines while still
@@ -94,7 +92,6 @@ TEST(CancellationTest, SequentialSolverSeesCancelFromOtherThread) {
   canceller.join();
 
   EXPECT_TRUE(IsBalancedClique(graph, result.clique));
-  EXPECT_TRUE(result.stats.timed_out);
   EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kCancelled);
 }
 
@@ -109,7 +106,6 @@ TEST(CancellationTest, HeuristicTierObservesPreCancelledContext) {
   MbcHeuOptions options;
   options.exec = &exec;
   const MbcHeuResult result = MbcHeuristicSearch(graph, 0, options);
-  EXPECT_TRUE(result.stats.timed_out);
   EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kCancelled);
   EXPECT_FALSE(result.clique.empty());
   EXPECT_TRUE(IsBalancedClique(graph, result.clique));
@@ -141,7 +137,6 @@ TEST(CancellationTest, HeuristicTierSeesCancelFromOtherThread) {
   options.local_search_iterations = 100000;  // far beyond the cancel point
   const MbcHeuResult result = MbcHeuristicSearch(graph, 1, options);
   canceller.join();
-  EXPECT_TRUE(result.stats.timed_out);
   EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kCancelled);
   if (!result.clique.empty()) {
     EXPECT_TRUE(IsBalancedClique(graph, result.clique));
@@ -166,7 +161,6 @@ TEST(CancellationTest, TolerantSolverSeesCancelFromOtherThread) {
   const MbcTolerantResult result =
       MaxTolerantBalancedClique(graph, 2, /*tolerance=*/2, options);
   canceller.join();
-  EXPECT_TRUE(result.stats.timed_out);
   EXPECT_EQ(result.stats.interrupt_reason, InterruptReason::kCancelled);
   if (!result.clique.empty()) {
     const std::optional<uint32_t> frustration =

@@ -38,15 +38,13 @@ SignedGraph TestGraph() {
   return PlantBalancedCliques(base, {{4, 5}}, 3);
 }
 
-// The reason must be kInjectedFault exactly when the run was interrupted.
-void ExpectFaultVerdict(const ExecutionContext& exec, bool timed_out,
-                        InterruptReason reason, int seed) {
-  EXPECT_EQ(timed_out, exec.Interrupted()) << "seed=" << seed;
-  if (timed_out) {
-    EXPECT_EQ(reason, InterruptReason::kInjectedFault) << "seed=" << seed;
-  } else {
-    EXPECT_EQ(reason, InterruptReason::kNone) << "seed=" << seed;
-  }
+// The reported reason must be kInjectedFault exactly when the context was
+// interrupted, and kNone otherwise.
+void ExpectFaultVerdict(const ExecutionContext& exec, InterruptReason reason,
+                        int seed) {
+  EXPECT_EQ(reason, exec.Interrupted() ? InterruptReason::kInjectedFault
+                                       : InterruptReason::kNone)
+      << "seed=" << seed;
 }
 
 TEST(FaultInjectionTest, MbcStarAlwaysReturnsValidClique) {
@@ -61,9 +59,8 @@ TEST(FaultInjectionTest, MbcStarAlwaysReturnsValidClique) {
     options.exec = &exec;
     const MbcStarResult result = MaxBalancedCliqueStar(graph, 2, options);
     EXPECT_TRUE(IsBalancedClique(graph, result.clique)) << "seed=" << seed;
-    ExpectFaultVerdict(exec, result.stats.timed_out,
-                       result.stats.interrupt_reason, seed);
-    if (result.stats.timed_out) {
+    ExpectFaultVerdict(exec, result.stats.interrupt_reason, seed);
+    if (result.stats.interrupt_reason != InterruptReason::kNone) {
       ++interrupted;
       EXPECT_LE(result.clique.size(), exact) << "seed=" << seed;
     } else {
@@ -83,8 +80,7 @@ TEST(FaultInjectionTest, MbcBaselineAlwaysReturnsValidClique) {
     const MbcBaselineResult result =
         MaxBalancedCliqueBaseline(graph, 2, options);
     EXPECT_TRUE(IsBalancedClique(graph, result.clique)) << "seed=" << seed;
-    ExpectFaultVerdict(exec, result.timed_out, result.interrupt_reason,
-                       seed);
+    ExpectFaultVerdict(exec, result.interrupt_reason, seed);
   }
 }
 
@@ -97,8 +93,7 @@ TEST(FaultInjectionTest, MbcAdvAlwaysReturnsValidClique) {
     options.exec = &exec;
     const MbcAdvResult result = MaxBalancedCliqueAdv(graph, 2, options);
     EXPECT_TRUE(IsBalancedClique(graph, result.clique)) << "seed=" << seed;
-    ExpectFaultVerdict(exec, result.timed_out, result.interrupt_reason,
-                       seed);
+    ExpectFaultVerdict(exec, result.interrupt_reason, seed);
   }
 }
 
@@ -139,8 +134,7 @@ TEST(FaultInjectionTest, MbcParallelAlwaysReturnsValidClique) {
     const ParallelMbcResult result =
         ParallelMaxBalancedCliqueStar(graph, 2, options);
     EXPECT_TRUE(IsBalancedClique(graph, result.clique)) << "seed=" << seed;
-    ExpectFaultVerdict(exec, result.timed_out, result.interrupt_reason,
-                       seed);
+    ExpectFaultVerdict(exec, result.interrupt_reason, seed);
   }
 }
 
@@ -156,8 +150,7 @@ TEST(FaultInjectionTest, PfStarWitnessStaysValid) {
     EXPECT_TRUE(IsBalancedClique(graph, result.witness)) << "seed=" << seed;
     EXPECT_EQ(result.witness.MinSide(), result.beta) << "seed=" << seed;
     EXPECT_LE(result.beta, exact) << "seed=" << seed;
-    ExpectFaultVerdict(exec, result.stats.timed_out,
-                       result.stats.interrupt_reason, seed);
+    ExpectFaultVerdict(exec, result.stats.interrupt_reason, seed);
   }
 }
 
@@ -173,9 +166,8 @@ TEST(FaultInjectionTest, PfBsBetaStaysSoundLowerBound) {
         PolarizationFactorBinarySearch(graph, options);
     // Interrupted probes must never push the reported beta above truth.
     EXPECT_LE(result.beta, exact) << "seed=" << seed;
-    ExpectFaultVerdict(exec, result.timed_out, result.interrupt_reason,
-                       seed);
-    if (!result.timed_out) {
+    ExpectFaultVerdict(exec, result.interrupt_reason, seed);
+    if (result.interrupt_reason == InterruptReason::kNone) {
       EXPECT_EQ(result.beta, exact) << "seed=" << seed;
     }
   }
@@ -191,7 +183,7 @@ TEST(FaultInjectionTest, PfEnumBetaStaysSoundLowerBound) {
     options.exec = &exec;
     const PfEResult result = PolarizationFactorEnum(graph, options);
     EXPECT_LE(result.beta, exact) << "seed=" << seed;
-    if (!result.timed_out) {
+    if (result.interrupt_reason == InterruptReason::kNone) {
       EXPECT_EQ(result.beta, exact) << "seed=" << seed;
     }
   }
@@ -213,8 +205,7 @@ TEST(FaultInjectionTest, GmbcStarKeepsPerTauInvariants) {
       EXPECT_TRUE(result.cliques[tau].SatisfiesThreshold(tau))
           << "seed=" << seed << " tau=" << tau;
     }
-    ExpectFaultVerdict(exec, result.timed_out, result.interrupt_reason,
-                       seed);
+    ExpectFaultVerdict(exec, result.interrupt_reason, seed);
   }
 }
 
@@ -230,8 +221,7 @@ TEST(FaultInjectionTest, GmbcUpwardSweepKeepsInvariants) {
       EXPECT_TRUE(IsBalancedClique(graph, result.cliques[tau]))
           << "seed=" << seed << " tau=" << tau;
     }
-    ExpectFaultVerdict(exec, result.timed_out, result.interrupt_reason,
-                       seed);
+    ExpectFaultVerdict(exec, result.interrupt_reason, seed);
   }
 }
 
@@ -261,7 +251,7 @@ TEST(FaultInjectionTest, RelatedCliquesStayValid) {
       EXPECT_TRUE(IsAlphaKClique(graph, ak.clique, options.alpha, options.k))
           << "seed=" << seed;
     }
-    ExpectFaultVerdict(ak_exec, ak.timed_out, ak.interrupt_reason, seed);
+    ExpectFaultVerdict(ak_exec, ak.interrupt_reason, seed);
   }
 }
 

@@ -17,7 +17,7 @@ using testing_util::RandomSignedGraph;
 TEST(MbcBaselineTest, PaperFigure2Example) {
   const MbcBaselineResult result =
       MaxBalancedCliqueBaseline(Figure2Graph(), 2);
-  EXPECT_FALSE(result.timed_out);
+  EXPECT_EQ(result.interrupt_reason, InterruptReason::kNone);
   EXPECT_EQ(result.clique.size(), 6u);
 }
 
@@ -32,7 +32,7 @@ TEST(MbcBaselineTest, MatchesBruteForceRandomized) {
     for (uint32_t tau : {0u, 1u, 2u, 3u}) {
       const BalancedClique expected = BruteForceMaxBalancedClique(graph, tau);
       const MbcBaselineResult result = MaxBalancedCliqueBaseline(graph, tau);
-      EXPECT_FALSE(result.timed_out);
+      EXPECT_EQ(result.interrupt_reason, InterruptReason::kNone);
       EXPECT_EQ(result.clique.size(), expected.size())
           << "seed=" << seed << " tau=" << tau;
       if (!result.clique.empty()) {
@@ -54,11 +54,12 @@ TEST(MbcBaselineTest, NoEdgeReductionVariantAgrees) {
 
 TEST(MbcBaselineTest, TimeLimitProducesPartialResult) {
   const SignedGraph graph = RandomSignedGraph(300, 4000, 0.45, 2);
+  ExecutionContext exec(Deadline::After(0.0));  // expire immediately
   MbcBaselineOptions options;
-  options.time_limit_seconds = 0.0;  // expire immediately
+  options.exec = &exec;
   const MbcBaselineResult result =
       MaxBalancedCliqueBaseline(graph, 1, options);
-  EXPECT_TRUE(result.timed_out);
+  EXPECT_EQ(result.interrupt_reason, InterruptReason::kDeadline);
   // Whatever was found must still be valid.
   EXPECT_TRUE(IsBalancedClique(graph, result.clique));
 }

@@ -47,13 +47,14 @@ TEST_F(PipelineTest, MbcStarFindsPlantedOptimum) {
 TEST_F(PipelineTest, SolversAgree) {
   const size_t star = MaxBalancedCliqueStar(graph(), 3).clique.size();
   const MbcAdvResult adv = MaxBalancedCliqueAdv(graph(), 3);
-  EXPECT_FALSE(adv.timed_out);
+  EXPECT_EQ(adv.interrupt_reason, InterruptReason::kNone);
   EXPECT_EQ(star, adv.clique.size());
+  ExecutionContext baseline_exec(Deadline::After(60.0));
   MbcBaselineOptions baseline_options;
-  baseline_options.time_limit_seconds = 60.0;
+  baseline_options.exec = &baseline_exec;
   const MbcBaselineResult baseline =
       MaxBalancedCliqueBaseline(graph(), 3, baseline_options);
-  if (!baseline.timed_out) {
+  if (baseline.interrupt_reason == InterruptReason::kNone) {
     EXPECT_EQ(star, baseline.clique.size());
   }
 }

@@ -123,10 +123,11 @@ TEST(PfBsTest, CountsProbes) {
 
 TEST(PfETest, TimeLimitFlagsTruncation) {
   const SignedGraph graph = RandomSignedGraph(200, 2500, 0.5, 4);
+  ExecutionContext exec(Deadline::After(0.0));
   PfEOptions options;
-  options.time_limit_seconds = 0.0;
+  options.exec = &exec;
   const PfEResult result = PolarizationFactorEnum(graph, options);
-  EXPECT_TRUE(result.timed_out);
+  EXPECT_EQ(result.interrupt_reason, InterruptReason::kDeadline);
 }
 
 }  // namespace

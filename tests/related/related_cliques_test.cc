@@ -124,11 +124,13 @@ TEST(AlphaKCliqueTest, BalancedCliqueNeedNotBeAlphaK) {
 
 TEST(AlphaKCliqueTest, TimeLimitDegradesGracefully) {
   const SignedGraph graph = RandomSignedGraph(400, 4000, 0.4, 3);
+  ExecutionContext exec(Deadline::After(0.0));
   AlphaKCliqueOptions options;
   options.alpha = 1.0;
   options.k = 2;
-  options.time_limit_seconds = 0.0;
+  options.exec = &exec;
   const AlphaKCliqueResult result = MaxAlphaKClique(graph, options);
+  EXPECT_EQ(result.interrupt_reason, InterruptReason::kDeadline);
   if (!result.clique.empty()) {
     EXPECT_TRUE(IsAlphaKClique(graph, result.clique, 1.0, 2));
   }

@@ -544,7 +544,9 @@ int CmdRelated(const Flags& flags) {
       mbc::MaxAlphaKClique(graph.value(), options);
   std::printf("maximum (%.2f,%u)-clique: %zu vertices%s\n", options.alpha,
               options.k, ak.clique.size(),
-              ak.timed_out ? " (interrupted; lower bound)" : "");
+              ak.interrupt_reason != mbc::InterruptReason::kNone
+                  ? " (interrupted; lower bound)"
+                  : "");
   const mbc::BalancedSubgraphResult subgraph =
       mbc::LargeBalancedSubgraph(graph.value());
   std::printf("large balanced subgraph: %zu vertices\n",
