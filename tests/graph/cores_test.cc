@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,9 @@ namespace mbc {
 namespace {
 
 using testing_util::FromText;
+using testing_util::PeelPinGraphs;
+using testing_util::PeelPinRow;
+using testing_util::PinGraph;
 using testing_util::RandomSignedGraph;
 
 // Triangle + pendant path: degeneracy 2, the pendant vertices have core 1.
@@ -76,6 +80,25 @@ TEST(DegeneracyTest, EmptyGraph) {
       DegeneracyDecompose(SignedGraph());
   EXPECT_EQ(result.degeneracy, 0u);
   EXPECT_TRUE(result.order.empty());
+}
+
+// Pins the exact peel: the property tests above hold for any tie-break, so
+// only these hashes catch a change to the order MBC* and MBC-Heu consume.
+TEST(DegeneracyTest, PinnedPeels) {
+  const std::vector<std::string> want = {
+      "figure2 order=b2e6812682887ecd rank=b2e6812682887ecd core=ae511a1eec51720d max=5",
+      "random order=80937464f602bc6a rank=ebeaffbde2952876 core=6d10b66e857fa560 max=10",
+      "dense_core order=33d10e1bf005e5e9 rank=1612d38a1921fa65 core=fa23aa80d977d770 max=91",
+      "planted_clique order=6fef26f525760a39 rank=ec7507572d0f677d core=8a010f721d333b48 max=176",
+      "bscl order=fa27beb75d03a723 rank=1524fa1f232aa913 core=1ba8cbc6fd171f27 max=19",
+  };
+  std::vector<std::string> got;
+  for (const PinGraph& g : PeelPinGraphs()) {
+    const DegeneracyResult r = DegeneracyDecompose(g.graph);
+    got.push_back(
+        PeelPinRow(g.name, r.order, r.rank, r.core_number, r.degeneracy));
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(KCoreTest, TriangleWithTail) {

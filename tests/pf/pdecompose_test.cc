@@ -2,6 +2,8 @@
 #include "src/pf/pdecompose.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,9 @@ namespace mbc {
 namespace {
 
 using testing_util::Figure2Graph;
+using testing_util::PeelPinGraphs;
+using testing_util::PeelPinRow;
+using testing_util::PinGraph;
 using testing_util::RandomSignedGraph;
 
 TEST(PDecomposeTest, Figure2PolarCores) {
@@ -95,6 +100,25 @@ TEST(PDecomposeTest, Lemma5PolarCoreNumberBoundsGamma) {
     }
     EXPECT_GE(decomposition.polar_core_number[u], gamma) << "u=" << u;
   }
+}
+
+// Pins the exact polarization peel (order, rank, pn), which the property
+// tests above cannot tell apart from another valid tie-break.
+TEST(PDecomposeTest, PinnedPeels) {
+  const std::vector<std::string> want = {
+      "figure2 order=6c21bf0762ff2ecd rank=6c21bf0762ff2ecd core=f8d0941b8a7ae66d max=3",
+      "random order=c229e4a9706750a2 rank=ac479bc78a95979e core=9eb4af5a3079d8cf max=3",
+      "dense_core order=c23786a62f26eebd rank=6077ec2a18e66a51 core=fd05558c3de61962 max=34",
+      "planted_clique order=1360ca3ddb62b631 rank=f58de3afca61b379 core=38ac0015288854a1 max=79",
+      "bscl order=750816a857332b1f rank=348c40e53c7d590f core=22c367237c37dd8c max=4",
+  };
+  std::vector<std::string> got;
+  for (const PinGraph& g : PeelPinGraphs()) {
+    const PolarDecomposition r = PDecompose(g.graph);
+    got.push_back(PeelPinRow(g.name, r.order, r.rank, r.polar_core_number,
+                             r.max_polar_core));
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(PDecomposeTest, EmptyGraph) {

@@ -10,9 +10,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "src/common/fingerprint.h"
 #include "src/common/logging.h"
 #include "src/datasets/generators.h"
 #include "src/graph/signed_graph.h"
@@ -126,6 +130,64 @@ inline SignedGraph RandomSignedGraph(VertexId n, EdgeCount m,
   options.powerlaw_alpha = 0.4;
   options.seed = seed;
   return GenerateCommunitySignedGraph(options);
+}
+
+struct PinGraph {
+  const char* name;
+  SignedGraph graph;
+};
+
+/// The graphs the peel-order pins (cores_test, pdecompose_test) run on:
+/// the Figure 2 example, a random graph, the bench_heuristic_quality
+/// dense_core and planted_clique families, and a hub-heavy BSCL graph.
+inline std::vector<PinGraph> PeelPinGraphs() {
+  std::vector<PinGraph> graphs;
+  graphs.push_back({"figure2", Figure2Graph()});
+  graphs.push_back({"random", RandomSignedGraph(300, 2400, 0.35, 19)});
+  CommunityGraphOptions dense;
+  dense.num_vertices = 450;
+  dense.num_edges = 36000;
+  dense.num_communities = 3;
+  dense.negative_ratio = 0.4;
+  dense.seed = 202;
+  graphs.push_back({"dense_core", GenerateCommunitySignedGraph(dense)});
+  CommunityGraphOptions planted;
+  planted.num_vertices = 1200;
+  planted.num_edges = 120000;
+  planted.num_communities = 2;
+  planted.negative_ratio = 0.48;
+  planted.powerlaw_alpha = 0.0;
+  planted.seed = 303;
+  graphs.push_back(
+      {"planted_clique",
+       PlantBalancedCliques(GenerateCommunitySignedGraph(planted),
+                            {{13, 13}, {9, 10}}, 977)});
+  BsclOptions bscl;
+  bscl.num_vertices = 20000;
+  bscl.num_edges = 100000;
+  bscl.seed = 7;
+  graphs.push_back({"bscl", GenerateBsclSignedGraph(bscl)});
+  return graphs;
+}
+
+/// One pin-table row for a peel: FNV-1a hashes of the order, the rank and
+/// the per-vertex core numbers, plus the largest core number.
+inline std::string PeelPinRow(const char* name,
+                              const std::vector<VertexId>& order,
+                              const std::vector<uint32_t>& rank,
+                              const std::vector<uint32_t>& core,
+                              uint32_t max_core) {
+  auto hash = [](const std::vector<uint32_t>& values) {
+    Fnv1aHasher hasher;
+    hasher.Mix(values.size());
+    for (uint32_t value : values) hasher.Mix(value);
+    return static_cast<unsigned long long>(hasher.hash());
+  };
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%s order=%016llx rank=%016llx "
+                "core=%016llx max=%u", name, hash(order), hash(rank),
+                hash(core), max_core);
+  return buf;
 }
 
 /// Raw blocking loopback client for transport tests that need finer
