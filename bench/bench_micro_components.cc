@@ -1,9 +1,9 @@
 // Copyright 2026 The balanced-clique Authors.
 //
 // Micro-benchmarks (google-benchmark) for the substrates that dominate
-// MBC*'s cost profile: CSR construction, degeneracy peeling, dichromatic
-// network extraction, (τ_L,τ_R)-core peeling, coloring bounds and the MDC
-// solver on random dichromatic graphs.
+// MBC*'s cost profile: CSR construction, induced-subgraph copies,
+// degeneracy peeling, dichromatic network extraction, (τ_L,τ_R)-core
+// peeling, coloring bounds and the MDC solver on random dichromatic graphs.
 //
 // Besides the google-benchmark suite, the binary ends with a kernel
 // report that runs the arena MDC kernel under both the scalar and the
@@ -21,6 +21,7 @@
 //                               branch counts
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -148,6 +149,28 @@ void BM_VertexReduction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VertexReduction);
+
+// The subgraph copy after BM_VertexReduction's mask. Arg 0 keeps the
+// survivors ascending, as ApplyVertexReduction and the |C*|-core do (rows
+// come out sorted); arg 1 shuffles them, so every row is sorted on its own.
+void BM_InducedSubgraph(benchmark::State& state) {
+  const SignedGraph graph = MakeGraph(20000, 160000);
+  const std::vector<uint8_t> mask = VertexReductionMask(graph, 3);
+  std::vector<VertexId> selection;
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    if (mask[v]) selection.push_back(v);
+  }
+  if (state.range(0) == 1) {
+    Rng rng(11);
+    std::shuffle(selection.begin(), selection.end(), rng);
+  }
+  for (auto _ : state) {
+    SignedGraph::InducedResult induced = graph.InducedSubgraph(selection);
+    benchmark::DoNotOptimize(induced.graph.NumEdges());
+  }
+  state.SetLabel(state.range(0) == 1 ? "shuffled" : "ascending");
+}
+BENCHMARK(BM_InducedSubgraph)->Arg(0)->Arg(1);
 
 void BM_EdgeReduction(benchmark::State& state) {
   const SignedGraph graph = MakeGraph(5000, 40000);

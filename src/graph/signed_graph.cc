@@ -4,7 +4,6 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/graph/signed_graph_builder.h"
 
 namespace mbc {
 namespace {
@@ -41,34 +40,57 @@ double SignedGraph::NegativeEdgeRatio() const {
 SignedGraph::InducedResult SignedGraph::InducedSubgraph(
     std::span<const VertexId> vertices) const {
   std::vector<VertexId> to_original(vertices.begin(), vertices.end());
+  const VertexId k = static_cast<VertexId>(to_original.size());
   // Map old id -> new id; kInvalidVertex marks "not selected".
   std::vector<VertexId> to_new(num_vertices_, kInvalidVertex);
-  for (size_t i = 0; i < to_original.size(); ++i) {
+  for (VertexId i = 0; i < k; ++i) {
     const VertexId old_id = to_original[i];
     MBC_CHECK_LT(old_id, num_vertices_);
     MBC_CHECK(to_new[old_id] == kInvalidVertex)
         << "duplicate vertex in induced subgraph selection";
-    to_new[old_id] = static_cast<VertexId>(i);
+    to_new[old_id] = i;
   }
 
-  SignedGraphBuilder builder(static_cast<VertexId>(to_original.size()));
-  for (size_t i = 0; i < to_original.size(); ++i) {
+  // Counting pass: row i of the subgraph keeps the selected neighbours of
+  // to_original[i], so each offset array is a prefix sum of those counts.
+  auto kept = [&to_new](std::span<const VertexId> row) {
+    uint64_t count = 0;
+    for (VertexId old_v : row) count += to_new[old_v] != kInvalidVertex;
+    return count;
+  };
+  std::vector<uint64_t> pos_offsets(k + size_t{1}, 0);
+  std::vector<uint64_t> neg_offsets(k + size_t{1}, 0);
+  for (VertexId i = 0; i < k; ++i) {
     const VertexId old_u = to_original[i];
-    const VertexId new_u = static_cast<VertexId>(i);
-    for (VertexId old_v : PositiveNeighbors(old_u)) {
-      const VertexId new_v = to_new[old_v];
-      if (new_v != kInvalidVertex && new_u < new_v) {
-        builder.AddEdge(new_u, new_v, Sign::kPositive);
-      }
-    }
-    for (VertexId old_v : NegativeNeighbors(old_u)) {
-      const VertexId new_v = to_new[old_v];
-      if (new_v != kInvalidVertex && new_u < new_v) {
-        builder.AddEdge(new_u, new_v, Sign::kNegative);
-      }
-    }
+    pos_offsets[i + 1] = pos_offsets[i] + kept(PositiveNeighbors(old_u));
+    neg_offsets[i + 1] = neg_offsets[i] + kept(NegativeNeighbors(old_u));
   }
-  return InducedResult{std::move(builder).Build(), std::move(to_original)};
+
+  // Fill pass. Remapping preserves order when the selection ascends, so
+  // each row comes out sorted; otherwise each row is sorted on its own.
+  const bool ascending =
+      std::is_sorted(to_original.begin(), to_original.end());
+  auto fill = [&to_new, ascending](std::span<const VertexId> row,
+                                   VertexId* out) {
+    VertexId* const begin = out;
+    for (VertexId old_v : row) {
+      const VertexId new_v = to_new[old_v];
+      if (new_v != kInvalidVertex) *out++ = new_v;
+    }
+    if (!ascending) std::sort(begin, out);
+  };
+  std::vector<VertexId> pos_neighbors(pos_offsets[k]);
+  std::vector<VertexId> neg_neighbors(neg_offsets[k]);
+  for (VertexId i = 0; i < k; ++i) {
+    fill(PositiveNeighbors(to_original[i]),
+         pos_neighbors.data() + pos_offsets[i]);
+    fill(NegativeNeighbors(to_original[i]),
+         neg_neighbors.data() + neg_offsets[i]);
+  }
+  return InducedResult{
+      FromOwnedCsr(k, std::move(pos_offsets), std::move(pos_neighbors),
+                   std::move(neg_offsets), std::move(neg_neighbors)),
+      std::move(to_original)};
 }
 
 size_t SignedGraph::MemoryBytes() const {

@@ -1,10 +1,17 @@
 // Copyright 2026 The balanced-clique Authors.
 #include "src/graph/signed_graph.h"
 
+#include <algorithm>
+#include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/random.h"
+#include "src/datasets/generators.h"
+#include "src/graph/binary_io.h"
 #include "src/graph/signed_graph_builder.h"
 #include "tests/test_util.h"
 
@@ -146,6 +153,144 @@ TEST(SignedGraphTest, InducedSubgraphOfNothingIsEmpty) {
   SignedGraph graph = FromText("0 1 1\n");
   SignedGraph::InducedResult induced = graph.InducedSubgraph({});
   EXPECT_EQ(induced.graph.NumVertices(), 0u);
+}
+
+// The reference InducedSubgraph: every selected edge pushed through
+// SignedGraphBuilder (global sort, dedup, scatter, per-row sort).
+SignedGraph::InducedResult BuilderInduced(const SignedGraph& graph,
+                                          std::span<const VertexId> vertices) {
+  std::vector<VertexId> to_new(graph.NumVertices(), kInvalidVertex);
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    to_new[vertices[i]] = static_cast<VertexId>(i);
+  }
+  SignedGraphBuilder builder(static_cast<VertexId>(vertices.size()));
+  graph.ForEachEdge([&](VertexId u, VertexId v, Sign sign) {
+    if (to_new[u] != kInvalidVertex && to_new[v] != kInvalidVertex) {
+      builder.AddEdge(to_new[u], to_new[v], sign);
+    }
+  });
+  return {std::move(builder).Build(),
+          std::vector<VertexId>(vertices.begin(), vertices.end())};
+}
+
+template <typename T>
+std::vector<T> ToVector(std::span<const T> values) {
+  return std::vector<T>(values.begin(), values.end());
+}
+
+void ExpectSameInduced(const SignedGraph& graph,
+                       const std::vector<VertexId>& selection,
+                       const std::string& label) {
+  SCOPED_TRACE(label);
+  const SignedGraph::InducedResult got = graph.InducedSubgraph(selection);
+  const SignedGraph::InducedResult want = BuilderInduced(graph, selection);
+  EXPECT_EQ(got.to_original, want.to_original);
+  EXPECT_EQ(got.graph.NumVertices(), want.graph.NumVertices());
+  EXPECT_EQ(ToVector(got.graph.PosOffsets()),
+            ToVector(want.graph.PosOffsets()));
+  EXPECT_EQ(ToVector(got.graph.NegOffsets()),
+            ToVector(want.graph.NegOffsets()));
+  EXPECT_EQ(ToVector(got.graph.PosNeighborEntries()),
+            ToVector(want.graph.PosNeighborEntries()));
+  EXPECT_EQ(ToVector(got.graph.NegNeighborEntries()),
+            ToVector(want.graph.NegNeighborEntries()));
+  EXPECT_EQ(got.graph.MemoryBytes(), want.graph.MemoryBytes());
+  EXPECT_FALSE(got.graph.FingerprintHint().has_value());
+}
+
+// Every selection shape the solvers make: ascending masks (vertex
+// reduction, |C*|-core, sampling), seeds-first balls (PolarSeeds),
+// arbitrary orders, and the degenerate empty / single / full cases.
+void ExpectSameInducedForAllSelections(const SignedGraph& graph,
+                                       uint64_t seed) {
+  const VertexId n = graph.NumVertices();
+  Rng rng(seed);
+  std::vector<VertexId> ascending;
+  for (VertexId v = 0; v < n; ++v) {
+    if (rng.NextBernoulli(0.6)) ascending.push_back(v);
+  }
+  std::vector<VertexId> shuffled = ascending;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+  // Two seeds of the highest degree, then their neighbours in adjacency
+  // order, as PolarSeeds' radius-1 ball lists them.
+  std::vector<VertexId> by_degree(n);
+  std::iota(by_degree.begin(), by_degree.end(), VertexId{0});
+  std::stable_sort(by_degree.begin(), by_degree.end(),
+                   [&graph](VertexId a, VertexId b) {
+                     return graph.Degree(a) > graph.Degree(b);
+                   });
+  std::vector<VertexId> seeds_first;
+  std::vector<uint8_t> taken(n, 0);
+  auto take = [&](VertexId v) {
+    if (!taken[v]) {
+      taken[v] = 1;
+      seeds_first.push_back(v);
+    }
+  };
+  if (n >= 2) {
+    const VertexId u = std::max(by_degree[0], by_degree[1]);
+    const VertexId v = std::min(by_degree[0], by_degree[1]);
+    take(u);
+    take(v);
+    for (VertexId seed_vertex : {u, v}) {
+      for (VertexId w : graph.PositiveNeighbors(seed_vertex)) take(w);
+      for (VertexId w : graph.NegativeNeighbors(seed_vertex)) take(w);
+    }
+  }
+
+  std::vector<VertexId> full(n);
+  std::iota(full.begin(), full.end(), VertexId{0});
+  std::vector<VertexId> reversed(full.rbegin(), full.rend());
+
+  ExpectSameInduced(graph, ascending, "ascending");
+  ExpectSameInduced(graph, shuffled, "shuffled");
+  ExpectSameInduced(graph, seeds_first, "seeds-first");
+  ExpectSameInduced(graph, {}, "empty");
+  ExpectSameInduced(graph, full, "full");
+  ExpectSameInduced(graph, reversed, "full reversed");
+  if (n > 0) {
+    ExpectSameInduced(graph, {by_degree[0]}, "single hub");
+    ExpectSameInduced(graph, {n - 1}, "single last");
+  }
+}
+
+TEST(SignedGraphTest, InducedSubgraphMatchesBuilderOnRandomGraphs) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SignedGraph graph = testing_util::RandomSignedGraph(
+        static_cast<VertexId>(50 * seed), 400 * seed, 0.1 * seed, seed);
+    ExpectSameInducedForAllSelections(graph, seed);
+  }
+}
+
+TEST(SignedGraphTest, InducedSubgraphMatchesBuilderOnHubHeavyBscl) {
+  BsclOptions options;
+  options.num_vertices = 5000;
+  options.num_edges = 40000;
+  options.seed = 3;
+  const SignedGraph graph = GenerateBsclSignedGraph(options);
+  ExpectSameInducedForAllSelections(graph, 17);
+}
+
+TEST(SignedGraphTest, InducedSubgraphMatchesBuilderOnMappedGraph) {
+  BsclOptions options;
+  options.num_vertices = 2000;
+  options.num_edges = 12000;
+  options.seed = 5;
+  const SignedGraph owned = GenerateBsclSignedGraph(options);
+  const std::string path = ::testing::TempDir() + "/induced_mapped.mbcg";
+  ASSERT_TRUE(WriteSignedGraphBinary(owned, path).ok());
+  Result<SignedGraph> mapped = MmapSignedGraphBinary(path);
+  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(mapped.value().IsMapped());
+  ExpectSameInducedForAllSelections(mapped.value(), 23);
+}
+
+TEST(SignedGraphDeathTest, InducedSubgraphRejectsDuplicateIds) {
+  const SignedGraph graph = FromText("0 1 1\n1 2 -1\n");
+  const std::vector<VertexId> selection = {0, 2, 0};
+  EXPECT_DEATH(graph.InducedSubgraph(selection), "duplicate vertex");
 }
 
 TEST(SignedGraphTest, MemoryBytesScalesWithEdges) {
