@@ -2,6 +2,7 @@
 #include "src/benchlib/experiment.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
@@ -24,10 +25,12 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
 
 // Generated stand-ins are cached as binary files keyed by (name, scale),
 // so the ~dozen experiment binaries do not each regenerate the
-// multi-million-edge graphs. Set MBC_CACHE_DIR="" to disable.
+// multi-million-edge graphs. MBC_CACHE_DIR names the directory: unset means
+// /tmp/mbc_dataset_cache, and set but empty disables the cache. (Read with
+// getenv directly: GetEnvString maps an empty value to its fallback.)
 std::string CachePathFor(const DatasetSpec& spec, double scale) {
-  const std::string dir =
-      GetEnvString("MBC_CACHE_DIR", "/tmp/mbc_dataset_cache");
+  const char* env = std::getenv("MBC_CACHE_DIR");
+  const std::string dir = env == nullptr ? "/tmp/mbc_dataset_cache" : env;
   if (dir.empty()) return "";
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);

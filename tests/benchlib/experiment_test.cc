@@ -61,11 +61,19 @@ TEST_F(ExperimentEnvTest, CacheRoundTripsTheGraph) {
             second[0].graph.NumNegativeEdges());
 }
 
+// An empty MBC_CACHE_DIR disables the cache: both loads generate, and
+// neither reads nor writes the default cache directory.
 TEST_F(ExperimentEnvTest, DisabledCacheStillLoads) {
   setenv("MBC_CACHE_DIR", "", 1);
-  const std::vector<ExperimentDataset> datasets = LoadExperimentDatasets();
-  ASSERT_EQ(datasets.size(), 1u);
-  EXPECT_GT(datasets[0].graph.NumEdges(), 0u);
+  for (int load = 0; load < 2; ++load) {
+    ::testing::internal::CaptureStdout();
+    const std::vector<ExperimentDataset> datasets = LoadExperimentDatasets();
+    std::fflush(stdout);
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    ASSERT_EQ(datasets.size(), 1u);
+    EXPECT_GT(datasets[0].graph.NumEdges(), 0u);
+    EXPECT_EQ(out.rfind("[gen]", 0), 0u) << "load " << load << ": " << out;
+  }
 }
 
 TEST_F(ExperimentEnvTest, BaselineTimeLimitFromEnv) {
