@@ -29,7 +29,11 @@ struct DegeneracyResult {
   uint32_t degeneracy = 0;
 };
 
-/// Degeneracy decomposition of `graph`'s unsigned skeleton.
+/// Degeneracy decomposition of `graph`'s unsigned skeleton. A neighbour's
+/// degree is decremented only while it exceeds the current peel level
+/// (the cap), so the level never decreases and equals the core number of
+/// the vertex peeled at it. A removed vertex's degree stays at the level
+/// it was removed at, so the cap alone also skips removed vertices.
 DegeneracyResult DegeneracyDecompose(const SignedGraph& graph);
 
 /// Alive-mask of the k-core (unsigned skeleton): alive[v] is true iff v

@@ -104,6 +104,12 @@ class SignedGraph {
   /// Subgraph induced by `vertices` (which need not be sorted; duplicates
   /// are forbidden). Returns the subgraph plus `to_original`, mapping each
   /// new vertex id to the id it had in this graph.
+  ///
+  /// Costs O(n + Σ selected degrees) with no global edge sort: one counting
+  /// pass and one fill pass over the selected rows write the CSR arrays
+  /// directly. An ascending selection keeps every row sorted as it is
+  /// remapped; any other order sorts each row on its own. The arrays equal
+  /// those SignedGraphBuilder would build from the same edges.
   struct InducedResult;
   InducedResult InducedSubgraph(std::span<const VertexId> vertices) const;
 

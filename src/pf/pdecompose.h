@@ -29,7 +29,11 @@ struct PolarDecomposition {
   uint32_t max_polar_core = 0;
 };
 
-/// Runs PDecompose in O(n + m) using bin-sort peeling.
+/// Runs PDecompose in O(n + m) using bin-sort peeling. A neighbour's
+/// d+ + 1 (or d-) is decremented only while it exceeds pn(u) (the cap), so
+/// the peel level never decreases and equals pn of the vertex peeled at
+/// it. Removing a vertex zeroes both of its stored degrees, so both caps
+/// also skip removed vertices.
 PolarDecomposition PDecompose(const SignedGraph& graph);
 
 /// Alive-mask of the k-polar-core (for tests and ad-hoc analyses).
