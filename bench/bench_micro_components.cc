@@ -260,14 +260,28 @@ void BM_MdcSolveArena(benchmark::State& state) {
 }
 BENCHMARK(BM_MdcSolveArena)->Arg(64)->Arg(128);
 
+// Arg 0: a community graph with no hub. Arg 1: a hub-heavy BSCL graph
+// (the servicebench family at a quarter of its size), whose hub anchor has
+// a dichromatic network of about ten thousand members.
 void BM_MbcHeuristic(benchmark::State& state) {
-  const SignedGraph graph = MakeGraph(20000, 200000);
+  SignedGraph graph;
+  if (state.range(0) == 0) {
+    graph = MakeGraph(20000, 200000);
+    state.SetLabel("random");
+  } else {
+    BsclOptions options;
+    options.num_vertices = 50000;
+    options.num_edges = 300000;
+    options.seed = 7;
+    graph = GenerateBsclSignedGraph(options);
+    state.SetLabel("bscl_hub");
+  }
   for (auto _ : state) {
     BalancedClique clique = MbcHeuristic(graph, 2);
     benchmark::DoNotOptimize(clique.size());
   }
 }
-BENCHMARK(BM_MbcHeuristic);
+BENCHMARK(BM_MbcHeuristic)->Arg(0)->Arg(1);
 
 void BM_MbcStarEndToEnd(benchmark::State& state) {
   SignedGraph base = MakeGraph(10000, 80000);

@@ -189,6 +189,15 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
   std::vector<uint32_t> ties;
   BalancedClique best;
 
+  // Greedy-only runs build each anchor's network around its first pick
+  // (see below); local search may leave that neighbourhood, so it gets
+  // the whole g_a.
+  const bool greedy_only = options.local_search_iterations == 0;
+  std::vector<uint8_t> alive(greedy_only ? graph.NumVertices() : 0, 0);
+  std::vector<VertexId> ga_members;
+  std::vector<uint32_t> ga_degrees;
+  std::vector<VertexId> kept;
+
   bool first_anchor = true;
   for (VertexId anchor : anchors) {
     // The first anchor's greedy always runs to completion: it is the O(m)
@@ -197,7 +206,38 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
     // stats). The probe between anchors bounds the overrun at one pass.
     ExecutionContext* grow_exec = first_anchor ? nullptr : exec;
     first_anchor = false;
-    builder.BuildInto(anchor, nullptr, nullptr, &net);
+
+    // Algorithm 3 reads the whole g_a for its first pick only: every later
+    // candidate is a g_a-neighbour of that pick. The greedy-only sweep
+    // makes the first pick from member degrees counted on the CSR lists,
+    // then builds the network over {anchor, pick} ∪ N_{g_a}(pick) alone.
+    // The `alive` filter keeps BuildInto's member order and the induced
+    // degrees are those of g_a, so every later pick and tie-break is the
+    // one the whole g_a would give. The probe before the first pick is the
+    // one GrowAlternating would make.
+    VertexId first_pick = anchor;  // anchor = no pick
+    if (greedy_only) {
+      const uint32_t num_left =
+          builder.MemberDegrees(anchor, &ga_members, &ga_degrees);
+      const uint32_t ga_size = static_cast<uint32_t>(ga_members.size());
+      kept.assign(1, anchor);
+      if (ga_size > 1 && !(grow_exec != nullptr && grow_exec->Checkpoint())) {
+        // The right side if it has a member, else the left side; the first
+        // maximum degree wins.
+        uint32_t pick = num_left < ga_size ? num_left : 1;
+        for (uint32_t i = pick + 1; i < ga_size; ++i) {
+          if (ga_degrees[i] > ga_degrees[pick]) pick = i;
+        }
+        first_pick = ga_members[pick];
+        kept.push_back(first_pick);
+        builder.MemberNeighbors(first_pick, &kept);
+      }
+      for (VertexId v : kept) alive[v] = 1;
+      builder.BuildInto(anchor, nullptr, alive.data(), &net);
+      for (VertexId v : kept) alive[v] = 0;
+    } else {
+      builder.BuildInto(anchor, nullptr, nullptr, &net);
+    }
     const DichromaticGraph& g = net.graph;
     const uint32_t k = g.NumVertices();
     arena.BindNetwork(k);
@@ -216,6 +256,16 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
     size_t right_size = 0;
     candidates.CopyFrom(g.AdjacencyOf(0));
     candidates.Reset(0);
+    if (first_pick != anchor) {
+      const uint32_t p = static_cast<uint32_t>(
+          std::find(net.to_original.begin(), net.to_original.end(),
+                    first_pick) -
+          net.to_original.begin());
+      members.Set(p);
+      (g.IsLeft(p) ? left_size : right_size) += 1;
+      candidates &= g.AdjacencyOf(p);
+      candidates.Reset(p);
+    }
     GrowAlternating(g, &candidates, &members, &left_size, &right_size,
                     /*rng=*/nullptr, /*ties=*/nullptr, grow_exec);
     result.stats.greedy_size =

@@ -47,6 +47,31 @@ void ForEachOriented(const uint64_t* bits, const VertexId* neighbors,
   }
 }
 
+// Calls fn(y, positive) for every neighbour y > x in x's id-sorted lists:
+// each edge is offered once, from its lower id.
+template <typename Fn>
+void ForEachHigherNeighbor(const SignedGraph& graph, VertexId x, Fn&& fn) {
+  const std::span<const VertexId> pos = graph.PositiveNeighbors(x);
+  for (auto it = std::upper_bound(pos.begin(), pos.end(), x); it != pos.end();
+       ++it) {
+    fn(*it, true);
+  }
+  const std::span<const VertexId> neg = graph.NegativeNeighbors(x);
+  for (auto it = std::upper_bound(neg.begin(), neg.end(), x); it != neg.end();
+       ++it) {
+    fn(*it, false);
+  }
+}
+
+// Whether a signed edge between members of local ids i and j is an edge of
+// g_u (local ids below num_left are V_L): a positive edge is
+// non-conflicting iff both endpoints are on the same side, a negative one
+// iff they are on opposite sides.
+bool NonConflicting(uint32_t i, uint32_t j, uint32_t num_left,
+                    bool positive) {
+  return ((i < num_left) == (j < num_left)) == positive;
+}
+
 }  // namespace
 
 DichromaticNetworkBuilder::DichromaticNetworkBuilder(const SignedGraph& graph)
@@ -71,30 +96,35 @@ void DichromaticNetworkBuilder::OrientBy(const uint32_t* rank) {
   oriented_by_ = rank;
 }
 
-void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
-                                          const uint8_t* alive,
-                                          DichromaticNetwork* out) {
+uint32_t DichromaticNetworkBuilder::StampMembers(
+    VertexId u, const uint32_t* rank, const uint8_t* alive,
+    std::vector<VertexId>* members) {
   MBC_DCHECK(alive == nullptr || alive[u]);
   ++current_stamp_;
-
-  DichromaticNetwork& net = *out;
-  net.to_original.clear();
-  net.ego_edges = 0;
-  net.dichromatic_edges = 0;
-  net.to_original.push_back(u);  // local 0 = u
-
+  members->clear();
+  members->push_back(u);  // local 0 = u
   auto admit = [&](VertexId v) {
     if (alive != nullptr && !alive[v]) return;
     if (rank != nullptr && rank[v] <= rank[u]) return;
-    local_id_[v] = static_cast<uint32_t>(net.to_original.size());
+    local_id_[v] = static_cast<uint32_t>(members->size());
     stamp_[v] = current_stamp_;
-    net.to_original.push_back(v);
+    members->push_back(v);
   };
   // V_L first (positive neighbors), then V_R (negative neighbors); the
-  // sides are recorded below by index range.
+  // sides are told apart by local-id range.
   for (VertexId v : graph_.PositiveNeighbors(u)) admit(v);
-  const uint32_t num_left = static_cast<uint32_t>(net.to_original.size());
+  const uint32_t num_left = static_cast<uint32_t>(members->size());
   for (VertexId v : graph_.NegativeNeighbors(u)) admit(v);
+  return num_left;
+}
+
+void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
+                                          const uint8_t* alive,
+                                          DichromaticNetwork* out) {
+  DichromaticNetwork& net = *out;
+  net.ego_edges = 0;
+  net.dichromatic_edges = 0;
+  const uint32_t num_left = StampMembers(u, rank, alive, &net.to_original);
 
   const uint32_t k = static_cast<uint32_t>(net.to_original.size());
   net.graph.Reset(k);
@@ -106,14 +136,12 @@ void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
   for (uint32_t i = 1; i < k; ++i) net.graph.AddEdge(0, i);
 
   // Edges among the members (excluding u, which is never stamped): each is
-  // offered once, from its lower endpoint, and classified against the
-  // sides. A positive edge is non-conflicting iff both endpoints are on the
-  // same side, a negative one iff they are on opposite sides.
+  // offered once, from its lower endpoint, and kept if non-conflicting.
   auto offer = [&](uint32_t i, VertexId y, bool positive) {
     if (stamp_[y] != current_stamp_) return;
     const uint32_t j = local_id_[y];
     ++net.ego_edges;
-    if (((i < num_left) == (j < num_left)) == positive) {
+    if (NonConflicting(i, j, num_left, positive)) {
       net.graph.AddEdge(i, j);
       ++net.dichromatic_edges;
     }
@@ -137,19 +165,49 @@ void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
   } else {
     // Lower = lower id: scan each member's lists above its own id.
     for (uint32_t i = 1; i < k; ++i) {
-      const VertexId x = net.to_original[i];
-      const std::span<const VertexId> pos = graph_.PositiveNeighbors(x);
-      for (auto it = std::upper_bound(pos.begin(), pos.end(), x);
-           it != pos.end(); ++it) {
-        offer(i, *it, true);
-      }
-      const std::span<const VertexId> neg = graph_.NegativeNeighbors(x);
-      for (auto it = std::upper_bound(neg.begin(), neg.end(), x);
-           it != neg.end(); ++it) {
-        offer(i, *it, false);
-      }
+      ForEachHigherNeighbor(graph_, net.to_original[i],
+                            [&](VertexId y, bool positive) {
+                              offer(i, y, positive);
+                            });
     }
   }
+}
+
+uint32_t DichromaticNetworkBuilder::MemberDegrees(
+    VertexId u, std::vector<VertexId>* members,
+    std::vector<uint32_t>* degrees) {
+  const uint32_t num_left = StampMembers(u, nullptr, nullptr, members);
+  const uint32_t k = static_cast<uint32_t>(members->size());
+  // Every member is adjacent to u; u to all k-1 others.
+  degrees->assign(k, 1);
+  (*degrees)[0] = k - 1;
+  for (uint32_t i = 1; i < k; ++i) {
+    ForEachHigherNeighbor(graph_, (*members)[i],
+                          [&](VertexId y, bool positive) {
+                            if (stamp_[y] != current_stamp_) return;
+                            const uint32_t j = local_id_[y];
+                            if (NonConflicting(i, j, num_left, positive)) {
+                              ++(*degrees)[i];
+                              ++(*degrees)[j];
+                            }
+                          });
+  }
+  stamped_left_ = num_left;
+  return num_left;
+}
+
+void DichromaticNetworkBuilder::MemberNeighbors(
+    VertexId x, std::vector<VertexId>* out) const {
+  MBC_DCHECK(stamp_[x] == current_stamp_);
+  const uint32_t i = local_id_[x];
+  auto offer = [&](VertexId y, bool positive) {
+    if (stamp_[y] == current_stamp_ &&
+        NonConflicting(i, local_id_[y], stamped_left_, positive)) {
+      out->push_back(y);
+    }
+  };
+  for (VertexId y : graph_.PositiveNeighbors(x)) offer(y, true);
+  for (VertexId y : graph_.NegativeNeighbors(x)) offer(y, false);
 }
 
 }  // namespace mbc

@@ -79,7 +79,28 @@ class DichromaticNetworkBuilder {
   void BuildInto(VertexId u, const uint32_t* rank, const uint8_t* alive,
                  DichromaticNetwork* net);
 
+  /// Member-degree pass: the degree in g_u of every member of the
+  /// unranked, unfiltered g_u, counted from the CSR lists without building
+  /// g_u. `members` receives the members in BuildInto's local-id order (u
+  /// first, then V_L, then V_R) and `degrees` their degrees, so u's is
+  /// k-1. Returns |V_L|, u included. Each member-member edge is read once,
+  /// from its lower id, as in the unranked BuildInto: O(Σ_{x ∈ N(u)} d(x))
+  /// time and O(k) space, with no k×k rows.
+  uint32_t MemberDegrees(VertexId u, std::vector<VertexId>* members,
+                         std::vector<uint32_t>* degrees);
+
+  /// Appends to `out` the neighbours in g_u of member x, u excluded, where
+  /// u is the vertex of the last MemberDegrees call and no build has run
+  /// since. O(d(x)).
+  void MemberNeighbors(VertexId x, std::vector<VertexId>* out) const;
+
  private:
+  /// Stamps the members of g_u (see BuildInto for `rank` and `alive`)
+  /// with their local ids and writes them to `members`, u first. Returns
+  /// |V_L|, u included.
+  uint32_t StampMembers(VertexId u, const uint32_t* rank,
+                        const uint8_t* alive, std::vector<VertexId>* members);
+
   /// Points the orientation bits at `rank`, rebuilding them if the
   /// builder last oriented by another array.
   void OrientBy(const uint32_t* rank);
@@ -89,6 +110,8 @@ class DichromaticNetworkBuilder {
   std::vector<uint32_t> local_id_;
   std::vector<uint32_t> stamp_;
   uint32_t current_stamp_ = 0;
+  // |V_L| of the members stamped by the last MemberDegrees call.
+  uint32_t stamped_left_ = 0;
   // Orientation bits: bit e of pos_up_ (neg_up_) is set when the
   // neighbour at CSR entry e of the positive (negative) neighbour array
   // ranks above the owner of that list under `oriented_by_`.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/memory.h"
+#include "src/common/random.h"
 #include "src/core/verify.h"
 #include "src/datasets/generators.h"
 #include "tests/test_util.h"
@@ -75,6 +77,37 @@ TEST(MbcHeuTest, SingleVertexGraph) {
   const SignedGraph graph = std::move(builder).Build();
   const BalancedClique clique = MbcHeuristic(graph, 0);
   EXPECT_EQ(clique.size(), 1u);
+}
+
+// MbcHeuristic builds each anchor's dense network over the first pick's
+// neighbourhood only. The hub anchor here has k = 20,001 members, whose
+// whole g_a would take three k×k bit matrices (about 150 MB); the first
+// pick's neighbourhood in the sparse periphery takes a few kilobytes.
+TEST(MbcHeuTest, HubAnchorNetworkStaysSmall) {
+  constexpr VertexId kPeriphery = 20000;
+  SignedGraphBuilder builder(kPeriphery + 1);
+  for (VertexId v = 1; v <= kPeriphery; ++v) {
+    builder.AddEdge(0, v, v % 2 == 0 ? Sign::kPositive : Sign::kNegative);
+  }
+  Rng rng(23);
+  for (int e = 0; e < 2 * static_cast<int>(kPeriphery); ++e) {
+    const VertexId u = 1 + static_cast<VertexId>(rng.NextBounded(kPeriphery));
+    const VertexId v = 1 + static_cast<VertexId>(rng.NextBounded(kPeriphery));
+    if (u == v) continue;
+    builder.AddEdge(u, v, (u + v) % 3 == 0 ? Sign::kNegative
+                                           : Sign::kPositive);
+  }
+  const SignedGraph graph = std::move(builder).Build();
+
+  const uint64_t before = PeakRssBytes();
+  if (before == 0) GTEST_SKIP() << "VmHWM is not readable on this system";
+  const BalancedClique clique = MbcHeuristic(graph, 1);
+  const uint64_t after = PeakRssBytes();
+  EXPECT_TRUE(IsBalancedClique(graph, clique));
+  EXPECT_FALSE(clique.empty());
+  EXPECT_LT(after - before, uint64_t{32} << 20)
+      << "peak RSS rose from " << (before >> 20) << " to " << (after >> 20)
+      << " MB";
 }
 
 }  // namespace
