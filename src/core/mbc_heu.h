@@ -2,9 +2,12 @@
 //
 // The heuristic tier: fast lower bounds for the maximum balanced clique.
 //
-// MBC-Heu (Algorithm 3) is a linear-time greedy that grows a balanced
-// clique inside the dichromatic network of an anchor vertex, alternating
-// sides to keep |C_L| and |C_R| balanced. MbcHeuristicSearch is its one
+// MBC-Heu (Algorithm 3) is a greedy that grows a balanced clique inside
+// the dichromatic network g_a of an anchor vertex a, alternating sides to
+// keep |C_L| and |C_R| balanced. Only the first pick reads all of g_a; the
+// greedy-only configuration counts that pick's degrees on the CSR lists
+// and builds dense rows over the pick's neighbourhood alone, while local
+// search builds the whole g_a (costs below). MbcHeuristicSearch is its one
 // implementation: it runs the greedy from every vertex of an anchor pool
 // (the paper's degree/polar anchors plus the densest vertices of the
 // degeneracy order) on one hoisted network and arena, then optionally
@@ -32,8 +35,12 @@ namespace mbc {
 /// degeneracy anchors, i.e. the greedy anchored at the vertex with the
 /// largest min{d+(u), d-(u)} (the paper's implementation choice) and at
 /// the maxima of d+, d-, d and the polar-core number. Returns the largest
-/// greedy clique satisfying τ, or an empty clique if none does. O(m) per
-/// anchor. `exec` is the optional execution governor; nullptr runs under
+/// greedy clique satisfying τ, or an empty clique if none does. Per anchor
+/// a: O(Σ_{x ∈ N(a)} d(x)) ⊆ O(m) time to count member degrees in g_a, then
+/// a dense network over the first pick p and its g_a-neighbours, k_p ≤
+/// d(p) + 1 members in Θ(k_p²) bits. (The local-search configuration of
+/// MbcHeuristicSearch builds the whole g_a instead: Θ(k²) bits, k = d(a) +
+/// 1.) `exec` is the optional execution governor; nullptr runs under
 /// a local, unlimited one (which fault injection still reaches). The
 /// first anchor always runs to completion, so an interrupted call still
 /// returns that anchor's clique when it satisfies τ.

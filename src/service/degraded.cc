@@ -10,7 +10,8 @@ QueryResult ComputeDegradedResult(const SignedGraph& graph, QueryKind kind,
   QueryResult result;
   if (graph.NumVertices() == 0) return result;
   // The heuristic tier with local search off: the greedy anchor-pool sweep
-  // (five degree/polar anchors plus the degeneracy tail), O(m) per anchor.
+  // (five degree/polar anchors plus the degeneracy tail), O(m) time per
+  // anchor plus dense rows over its first pick's neighbourhood only.
   MbcHeuOptions options;
   options.local_search_iterations = 0;
 
