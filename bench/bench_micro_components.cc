@@ -94,6 +94,16 @@ SignedGraph MakeGraph(VertexId n, EdgeCount m, uint64_t seed = 7) {
   return GenerateCommunitySignedGraph(options);
 }
 
+// The hub-heavy BSCL input of the `/1` arguments: a few hubs hold
+// thousands of neighbours each.
+SignedGraph MakeHubGraph() {
+  BsclOptions options;
+  options.num_vertices = 50000;
+  options.num_edges = 300000;
+  options.seed = 7;
+  return GenerateBsclSignedGraph(options);
+}
+
 DichromaticGraph MakeDichromatic(uint32_t n, double density, uint64_t seed) {
   Rng rng(seed);
   DichromaticGraph graph(n);
@@ -142,13 +152,15 @@ void BM_PDecompose(benchmark::State& state) {
 BENCHMARK(BM_PDecompose)->Arg(10000)->Arg(50000);
 
 void BM_VertexReduction(benchmark::State& state) {
-  const SignedGraph graph = MakeGraph(20000, 160000);
+  const SignedGraph graph =
+      state.range(0) == 0 ? MakeGraph(20000, 160000) : MakeHubGraph();
   for (auto _ : state) {
     auto mask = VertexReductionMask(graph, 3);
     benchmark::DoNotOptimize(mask.data());
   }
+  state.SetLabel(state.range(0) == 0 ? "random" : "bscl_hub");
 }
-BENCHMARK(BM_VertexReduction);
+BENCHMARK(BM_VertexReduction)->Arg(0)->Arg(1);
 
 // The subgraph copy after BM_VertexReduction's mask. Arg 0 keeps the
 // survivors ascending, as ApplyVertexReduction and the |C*|-core do (rows
@@ -200,7 +212,8 @@ BENCHMARK(BM_DichromaticNetworkBuild);
 // grown once, refilled per iteration. The gap to BM_DichromaticNetworkBuild
 // is the construction overhead the arena call sites no longer pay.
 void BM_DichromaticNetworkBuildInto(benchmark::State& state) {
-  const SignedGraph graph = MakeGraph(20000, 300000);
+  const SignedGraph graph =
+      state.range(0) == 0 ? MakeGraph(20000, 300000) : MakeHubGraph();
   const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
   DichromaticNetworkBuilder builder(graph);
   DichromaticNetwork net;
@@ -211,8 +224,9 @@ void BM_DichromaticNetworkBuildInto(benchmark::State& state) {
     benchmark::DoNotOptimize(net.graph.NumVertices());
     ++u;
   }
+  state.SetLabel(state.range(0) == 0 ? "random" : "bscl_hub");
 }
-BENCHMARK(BM_DichromaticNetworkBuildInto);
+BENCHMARK(BM_DichromaticNetworkBuildInto)->Arg(0)->Arg(1);
 
 void BM_TwoSidedCore(benchmark::State& state) {
   const DichromaticGraph graph =
@@ -264,22 +278,13 @@ BENCHMARK(BM_MdcSolveArena)->Arg(64)->Arg(128);
 // (the servicebench family at a quarter of its size), whose hub anchor has
 // a dichromatic network of about ten thousand members.
 void BM_MbcHeuristic(benchmark::State& state) {
-  SignedGraph graph;
-  if (state.range(0) == 0) {
-    graph = MakeGraph(20000, 200000);
-    state.SetLabel("random");
-  } else {
-    BsclOptions options;
-    options.num_vertices = 50000;
-    options.num_edges = 300000;
-    options.seed = 7;
-    graph = GenerateBsclSignedGraph(options);
-    state.SetLabel("bscl_hub");
-  }
+  const SignedGraph graph =
+      state.range(0) == 0 ? MakeGraph(20000, 200000) : MakeHubGraph();
   for (auto _ : state) {
     BalancedClique clique = MbcHeuristic(graph, 2);
     benchmark::DoNotOptimize(clique.size());
   }
+  state.SetLabel(state.range(0) == 0 ? "random" : "bscl_hub");
 }
 BENCHMARK(BM_MbcHeuristic)->Arg(0)->Arg(1);
 

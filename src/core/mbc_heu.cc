@@ -154,19 +154,13 @@ std::vector<VertexId> AnchorPool(const SignedGraph& graph,
   return unique;
 }
 
-}  // namespace
-
-BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
-                            ExecutionContext* exec) {
-  MbcHeuOptions options;
-  options.local_search_iterations = 0;
-  options.degeneracy_anchors = 0;
-  options.exec = exec;
-  return MbcHeuristicSearch(graph, tau, options).clique;
-}
-
-MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
-                                const MbcHeuOptions& options) {
+/// MbcHeuristicSearch's anchor sweep. With `by_min_side` non-null (local
+/// search off), entry t also receives the first largest greedy clique
+/// whose smaller side has at least t vertices, for every t an anchor
+/// reaches.
+MbcHeuResult Sweep(const SignedGraph& graph, uint32_t tau,
+                   const MbcHeuOptions& options,
+                   std::vector<BalancedClique>* by_min_side) {
   MbcHeuResult result;
   ExecutionScope scope(options.exec);
   ExecutionContext* exec = scope.get();
@@ -270,6 +264,16 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
                     /*rng=*/nullptr, /*ties=*/nullptr, grow_exec);
     result.stats.greedy_size =
         std::max(result.stats.greedy_size, left_size + right_size);
+    if (by_min_side != nullptr) {
+      const size_t min_side = std::min(left_size, right_size);
+      if (by_min_side->size() <= min_side) by_min_side->resize(min_side + 1);
+      BalancedClique clique = MaterializeLocal(net, members);
+      for (size_t t = 0; t <= min_side; ++t) {
+        if (clique.size() > (*by_min_side)[t].size()) {
+          (*by_min_side)[t] = clique;
+        }
+      }
+    }
 
     size_t anchor_best_size = 0;
     if (std::min(left_size, right_size) >= tau) {
@@ -357,6 +361,30 @@ MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
 
   result.clique = std::move(best);
   return finish();
+}
+
+}  // namespace
+
+BalancedClique MbcHeuristic(const SignedGraph& graph, uint32_t tau,
+                            ExecutionContext* exec) {
+  MbcHeuOptions options;
+  options.local_search_iterations = 0;
+  options.degeneracy_anchors = 0;
+  options.exec = exec;
+  return MbcHeuristicSearch(graph, tau, options).clique;
+}
+
+MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
+                                const MbcHeuOptions& options) {
+  return Sweep(graph, tau, options, nullptr);
+}
+
+std::vector<BalancedClique> MbcHeuristicByMinSide(
+    const SignedGraph& graph, const MbcHeuOptions& options) {
+  MBC_CHECK_EQ(options.local_search_iterations, 0u);
+  std::vector<BalancedClique> by_min_side;
+  Sweep(graph, 0, options, &by_min_side);
+  return by_min_side;
 }
 
 }  // namespace mbc

@@ -16,14 +16,16 @@
 // grounded in Ordozgoiti et al., arXiv:2002.00775). MbcHeuristic is the
 // greedy-only sweep over the degree/polar anchors, which seeds the lower
 // bound of MBC* (Line 2 of Algorithm 2) and PF* (Line 1 of Algorithm 4);
-// the service's brownout tier runs the same sweep per tau. The greedy
-// never reads tau: tau only filters each anchor's clique. The result is a
+// the service's brownout tier runs the same sweep once for every tau
+// (MbcHeuristicByMinSide). The greedy never reads tau: tau only filters
+// each anchor's clique. The result is a
 // valid balanced clique — a lower bound the exact solvers warm-start
 // from — never a certificate of optimality.
 #ifndef MBC_CORE_MBC_HEU_H_
 #define MBC_CORE_MBC_HEU_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/execution.h"
 #include "src/core/balanced_clique.h"
@@ -97,6 +99,14 @@ struct MbcHeuResult {
 /// so an expired or cancelled context still yields a valid lower bound.
 MbcHeuResult MbcHeuristicSearch(const SignedGraph& graph, uint32_t tau,
                                 const MbcHeuOptions& options = {});
+
+/// The greedy-only sweep answered for every τ in one pass over the anchor
+/// pool. Entry t is the clique MbcHeuristicSearch(graph, t, options)
+/// returns; the table ends at the largest smaller side any anchor's greedy
+/// clique reaches, beyond which every τ gets an empty clique. Empty for an
+/// empty graph. Requires options.local_search_iterations == 0.
+std::vector<BalancedClique> MbcHeuristicByMinSide(
+    const SignedGraph& graph, const MbcHeuOptions& options);
 
 }  // namespace mbc
 

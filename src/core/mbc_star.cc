@@ -113,6 +113,8 @@ struct Preamble {
   SignedGraph work;
   std::vector<VertexId> to_input;  // work id -> input id
   DegeneracyResult degeneracy;     // empty when `work` is
+  // Under degeneracy.rank, shared by every EgoSearch of the run.
+  RankedOutLists out_lists;
   size_t heuristic_size = 0;
   double reduction_seconds = 0.0;
   double heuristic_seconds = 0.0;
@@ -176,10 +178,14 @@ bool RunPreamble(const SignedGraph& graph, uint32_t tau,
   for (VertexId v = 0; v < out->work.NumVertices(); ++v) {
     out->to_input[v] = reduced.to_original[cored.to_original[v]];
   }
+  // Free the reduced graph first: the order and the out-lists of Line 4
+  // then reuse its memory instead of raising the peak.
+  reduced = ReducedSignedGraph();
 
   // Line 4: degeneracy ordering.
   if (out->work.NumVertices() > 0) {
     out->degeneracy = DegeneracyDecompose(out->work);
+    out->out_lists.Build(out->work, out->degeneracy.rank.data());
   }
   return true;
 }
@@ -191,7 +197,10 @@ class EgoSearch {
  public:
   EgoSearch(const Preamble& pre, const GlobalIncumbent& incumbent,
             const MdcOptions& prune)
-      : pre_(pre), incumbent_(incumbent), prune_(prune), builder_(pre.work) {}
+      : pre_(pre),
+        incumbent_(incumbent),
+        prune_(prune),
+        builder_(pre.work, &pre.out_lists) {}
 
   /// Builds g_u over u's higher-ranked neighbours and prunes it against
   /// the incumbent. Returns true when g_u may still hold a clique of

@@ -1,6 +1,7 @@
 // Copyright 2026 The balanced-clique Authors.
 #include "src/core/reductions.h"
 
+#include <span>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -17,17 +18,35 @@ std::vector<uint8_t> VertexReductionMask(const SignedGraph& graph,
   const uint32_t need_pos = tau - 1;
   const uint32_t need_neg = tau;
 
+  // Most vertices fail the degree filter outright. Their lists are never
+  // read: the survivors' degrees are recounted against the survivors, and
+  // the cascade runs among them alone. The fixpoint is unique, so the mask
+  // is the one a cascade from every failing vertex reaches.
+  std::vector<VertexId> survivors;
+  for (VertexId v = 0; v < n; ++v) {
+    alive[v] = graph.PositiveDegree(v) >= need_pos &&
+               graph.NegativeDegree(v) >= need_neg;
+    if (alive[v]) survivors.push_back(v);
+  }
+  const auto count_alive = [&](std::span<const VertexId> list) {
+    uint32_t count = 0;
+    for (VertexId u : list) count += alive[u];
+    return count;
+  };
   std::vector<uint32_t> pos_degree(n);
   std::vector<uint32_t> neg_degree(n);
+  for (VertexId v : survivors) {
+    pos_degree[v] = count_alive(graph.PositiveNeighbors(v));
+    neg_degree[v] = count_alive(graph.NegativeNeighbors(v));
+  }
+  // Marked only after every recount, so each counts the same survivors.
   std::vector<VertexId> pending;
-  for (VertexId v = 0; v < n; ++v) {
-    pos_degree[v] = graph.PositiveDegree(v);
-    neg_degree[v] = graph.NegativeDegree(v);
+  for (VertexId v : survivors) {
     if (pos_degree[v] < need_pos || neg_degree[v] < need_neg) {
-      alive[v] = 0;
       pending.push_back(v);
     }
   }
+  for (VertexId v : pending) alive[v] = 0;
   while (!pending.empty()) {
     const VertexId v = pending.back();
     pending.pop_back();

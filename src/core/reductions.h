@@ -17,7 +17,9 @@ namespace mbc {
 /// VertexReduction [13]: every vertex of a balanced clique satisfying the
 /// polarization constraint τ has positive degree ≥ τ-1 and negative degree
 /// ≥ τ. Iteratively removes violating vertices (cascading) and returns the
-/// alive mask. O(n + m). For τ == 0 all vertices survive.
+/// alive mask. O(n) plus the lists of the vertices that pass the plain
+/// degree filter: the lists of the rest are never read. For τ == 0 all
+/// vertices survive.
 std::vector<uint8_t> VertexReductionMask(const SignedGraph& graph,
                                          uint32_t tau);
 

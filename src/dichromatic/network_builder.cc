@@ -2,50 +2,12 @@
 #include "src/dichromatic/network_builder.h"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
 #include "src/common/logging.h"
 
 namespace mbc {
 namespace {
-
-// Sets bit e of `bits` for every CSR entry e whose neighbour ranks above
-// the list's owner.
-void OrientLists(std::span<const uint64_t> offsets,
-                 std::span<const VertexId> neighbors, const uint32_t* rank,
-                 std::vector<uint64_t>* bits) {
-  bits->assign((neighbors.size() + 63) / 64, 0);
-  for (size_t x = 0; x + 1 < offsets.size(); ++x) {
-    for (uint64_t e = offsets[x]; e < offsets[x + 1]; ++e) {
-      const VertexId y = neighbors[e];
-      MBC_DCHECK(rank[y] != rank[x]);
-      if (rank[y] > rank[x]) (*bits)[e >> 6] |= uint64_t{1} << (e & 63);
-    }
-  }
-}
-
-// Calls fn(neighbors[e]) for every set bit e of `bits` in [begin, end),
-// one 64-bit word at a time.
-template <typename Fn>
-void ForEachOriented(const uint64_t* bits, const VertexId* neighbors,
-                     uint64_t begin, uint64_t end, Fn&& fn) {
-  if (begin >= end) return;
-  const uint64_t last = (end - 1) >> 6;
-  uint64_t w = begin >> 6;
-  uint64_t word = bits[w] & (~uint64_t{0} << (begin & 63));
-  for (;;) {
-    if (w == last && (end & 63) != 0) {
-      word &= (uint64_t{1} << (end & 63)) - 1;
-    }
-    while (word != 0) {
-      fn(neighbors[(w << 6) + std::countr_zero(word)]);
-      word &= word - 1;
-    }
-    if (w == last) return;
-    word = bits[++w];
-  }
-}
 
 // Calls fn(y, positive) for every neighbour y > x in x's id-sorted lists:
 // each edge is offered once, from its lower id.
@@ -74,8 +36,35 @@ bool NonConflicting(uint32_t i, uint32_t j, uint32_t num_left,
 
 }  // namespace
 
-DichromaticNetworkBuilder::DichromaticNetworkBuilder(const SignedGraph& graph)
+void RankedOutLists::Build(const SignedGraph& graph, const uint32_t* rank) {
+  const VertexId n = graph.NumVertices();
+  offsets_.resize(2 * size_t{n} + 1);
+  // Every edge is kept by exactly one endpoint, so the lists fill m slots;
+  // the spare slot takes the last unconditional write.
+  up_.resize(graph.NumEdges() + 1);
+  uint64_t end = 0;
+  auto keep_up = [&](VertexId x, std::span<const VertexId> list) {
+    for (VertexId y : list) {
+      MBC_DCHECK(rank[y] != rank[x]);
+      up_[end] = y;
+      end += rank[y] > rank[x];
+    }
+  };
+  offsets_[0] = 0;
+  for (VertexId x = 0; x < n; ++x) {
+    keep_up(x, graph.PositiveNeighbors(x));
+    offsets_[2 * size_t{x} + 1] = end;
+    keep_up(x, graph.NegativeNeighbors(x));
+    offsets_[2 * size_t{x} + 2] = end;
+  }
+  MBC_DCHECK_EQ(end, graph.NumEdges());
+  rank_ = rank;
+}
+
+DichromaticNetworkBuilder::DichromaticNetworkBuilder(
+    const SignedGraph& graph, const RankedOutLists* shared)
     : graph_(graph),
+      shared_(shared),
       local_id_(graph.NumVertices(), 0),
       stamp_(graph.NumVertices(), 0) {}
 
@@ -87,13 +76,11 @@ DichromaticNetwork DichromaticNetworkBuilder::Build(VertexId u,
   return net;
 }
 
-void DichromaticNetworkBuilder::OrientBy(const uint32_t* rank) {
-  if (rank == oriented_by_) return;
-  OrientLists(graph_.PosOffsets(), graph_.PosNeighborEntries(), rank,
-              &pos_up_);
-  OrientLists(graph_.NegOffsets(), graph_.NegNeighborEntries(), rank,
-              &neg_up_);
-  oriented_by_ = rank;
+const RankedOutLists& DichromaticNetworkBuilder::OutListsFor(
+    const uint32_t* rank) {
+  if (shared_ != nullptr && shared_->rank() == rank) return *shared_;
+  if (own_.rank() != rank) own_.Build(graph_, rank);
+  return own_;
 }
 
 uint32_t DichromaticNetworkBuilder::StampMembers(
@@ -147,20 +134,12 @@ void DichromaticNetworkBuilder::BuildInto(VertexId u, const uint32_t* rank,
     }
   };
   if (rank != nullptr) {
-    // Lower = lower-ranked: walk each member's orientation bits.
-    OrientBy(rank);
-    const std::span<const uint64_t> pos_offsets = graph_.PosOffsets();
-    const std::span<const uint64_t> neg_offsets = graph_.NegOffsets();
-    const VertexId* pos_neighbors = graph_.PosNeighborEntries().data();
-    const VertexId* neg_neighbors = graph_.NegNeighborEntries().data();
+    // Lower = lower-ranked: read each member's out-list.
+    const RankedOutLists& lists = OutListsFor(rank);
     for (uint32_t i = 1; i < k; ++i) {
-      const VertexId x = net.to_original[i];
-      ForEachOriented(pos_up_.data(), pos_neighbors, pos_offsets[x],
-                      pos_offsets[x + 1],
-                      [&](VertexId y) { offer(i, y, true); });
-      ForEachOriented(neg_up_.data(), neg_neighbors, neg_offsets[x],
-                      neg_offsets[x + 1],
-                      [&](VertexId y) { offer(i, y, false); });
+      lists.ForEach(net.to_original[i], [&](VertexId y, bool positive) {
+        offer(i, y, positive);
+      });
     }
   } else {
     // Lower = lower id: scan each member's lists above its own id.

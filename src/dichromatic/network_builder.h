@@ -36,32 +36,68 @@ struct DichromaticNetwork {
   uint64_t dichromatic_edges = 0;
 };
 
+/// The oriented out-lists of a signed graph under a rank array: for every
+/// vertex x, its higher-ranked positive neighbours and then its
+/// higher-ranked negative ones, in id order, in one contiguous run. Every
+/// edge sits in exactly one list, its lower-ranked endpoint's, so the
+/// lists cost 4 bytes per edge plus 16 per vertex of offsets (2.1 MB on
+/// the τ=2 work graph of servicebench's `bscl_1m`, 138 KB on its
+/// `dense_core`; docs/perf.md). Read-only once built: threads that build
+/// networks over one rank array can share one instance.
+class RankedOutLists {
+ public:
+  /// (Re)builds the lists of `graph` under `rank` (size n) in O(|E|).
+  /// Adjacent vertices must have distinct ranks (a degeneracy order or
+  /// any permutation of ids qualifies).
+  void Build(const SignedGraph& graph, const uint32_t* rank);
+
+  /// The `rank` of the last Build; nullptr before the first.
+  const uint32_t* rank() const { return rank_; }
+
+  /// Calls fn(y, positive) for every higher-ranked neighbour y of x.
+  template <typename Fn>
+  void ForEach(VertexId x, Fn&& fn) const {
+    const uint64_t* at = &offsets_[2 * size_t{x}];
+    for (uint64_t e = at[0]; e < at[1]; ++e) fn(up_[e], true);
+    for (uint64_t e = at[1]; e < at[2]; ++e) fn(up_[e], false);
+  }
+
+ private:
+  // x's positive out-list is up_[offsets_[2x], offsets_[2x+1]), its
+  // negative one up_[offsets_[2x+1], offsets_[2x+2]).
+  std::vector<uint64_t> offsets_;
+  std::vector<VertexId> up_;
+  const uint32_t* rank_ = nullptr;
+};
+
 /// Builds dichromatic networks for successive vertices of one signed graph.
-/// Keeps O(n) scratch plus, once a ranked build has run, one orientation
-/// bit per CSR entry (2|E| bits).
+/// Keeps O(n) scratch plus, for ranked builds, the RankedOutLists of the
+/// rank array in use: shared ones passed at construction, or its own.
 ///
 /// Cost model. Each member-member edge of g_u is found once, from its lower
 /// endpoint:
-///   * ranked builds (rank non-null) walk only the orientation bits of each
-///     member's lists, a 64-bit word at a time, so a member x costs
-///     deg(x)/64 word reads plus its higher-ranked neighbours — at most the
+///   * ranked builds (rank non-null) read each member's out-list, so a
+///     member x costs only its higher-ranked neighbours — at most the
 ///     degeneracy when `rank` is a degeneracy order, even for a hub;
 ///   * unranked builds scan only the part of each member's id-sorted lists
 ///     above the member's own id, found with one binary search.
 /// Either way u's own lists are read once to collect the members.
 ///
-/// One rank array per builder: the orientation bits are built in O(|E|) on
-/// the first ranked call and kept for later ranked calls that pass the same
-/// `rank` pointer; a call with a different pointer rebuilds them, at
-/// O(|E|) per switch. The bits only decide which endpoint offers an edge,
-/// and any bits built for this graph offer every edge exactly once, so
-/// bits left over from other rank contents at the same address cost time,
-/// never correctness. Adjacent vertices must have distinct ranks (a
-/// degeneracy order or any permutation of ids qualifies).
+/// A ranked call reads the shared out-lists when they were built under
+/// the `rank` pointer it passes. Otherwise the builder uses its own: built
+/// in O(|E|) on the first such call, kept for later calls that pass the
+/// same pointer, and rebuilt, at O(|E|) per switch, when a different
+/// pointer arrives. The out-lists only decide which endpoint offers an
+/// edge, and any out-lists built for this graph offer every edge exactly
+/// once, so out-lists left over from other rank contents at the same
+/// address cost time, never correctness. Adjacent vertices must have
+/// distinct ranks.
 class DichromaticNetworkBuilder {
  public:
-  /// `graph` must outlive the builder.
-  explicit DichromaticNetworkBuilder(const SignedGraph& graph);
+  /// `graph`, and `shared` if non-null, must outlive the builder;
+  /// `shared` must have been built over `graph`.
+  explicit DichromaticNetworkBuilder(const SignedGraph& graph,
+                                     const RankedOutLists* shared = nullptr);
 
   /// Builds g_u. If `rank` is non-null (size n), only neighbors v with
   /// rank[v] > rank[u] join the network; if `alive` is non-null (size n),
@@ -101,23 +137,19 @@ class DichromaticNetworkBuilder {
   uint32_t StampMembers(VertexId u, const uint32_t* rank,
                         const uint8_t* alive, std::vector<VertexId>* members);
 
-  /// Points the orientation bits at `rank`, rebuilding them if the
-  /// builder last oriented by another array.
-  void OrientBy(const uint32_t* rank);
+  /// The shared out-lists if built under `rank`, else the builder's own,
+  /// rebuilt if they were last built under another array.
+  const RankedOutLists& OutListsFor(const uint32_t* rank);
 
   const SignedGraph& graph_;
+  const RankedOutLists* shared_;
+  RankedOutLists own_;
   // old vertex id -> local id, valid only when stamp matches.
   std::vector<uint32_t> local_id_;
   std::vector<uint32_t> stamp_;
   uint32_t current_stamp_ = 0;
   // |V_L| of the members stamped by the last MemberDegrees call.
   uint32_t stamped_left_ = 0;
-  // Orientation bits: bit e of pos_up_ (neg_up_) is set when the
-  // neighbour at CSR entry e of the positive (negative) neighbour array
-  // ranks above the owner of that list under `oriented_by_`.
-  std::vector<uint64_t> pos_up_;
-  std::vector<uint64_t> neg_up_;
-  const uint32_t* oriented_by_ = nullptr;
 };
 
 }  // namespace mbc

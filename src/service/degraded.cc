@@ -1,6 +1,8 @@
 // Copyright 2026 The balanced-clique Authors.
 #include "src/service/degraded.h"
 
+#include <vector>
+
 #include "src/core/mbc_heu.h"
 
 namespace mbc {
@@ -24,14 +26,15 @@ QueryResult ComputeDegradedResult(const SignedGraph& graph, QueryKind kind,
   }
 
   // PF / gMBC: the gMBC sweep with the greedy in place of MBC*. A clique
-  // at tau certifies beta(G) >= tau, so beta is the last tau whose sweep
-  // returns a clique. Sizes are non-increasing in tau because the greedy
-  // never reads tau: each step only filters the same anchor cliques.
-  for (uint32_t t = 0;; ++t) {
-    const BalancedClique clique = MbcHeuristicSearch(graph, t, options).clique;
-    if (clique.empty()) break;
-    result.beta = t;
-    if (kind == QueryKind::kGmbc) {
+  // at tau certifies beta(G) >= tau, so beta is the last tau with a
+  // clique. Sizes are non-increasing in tau because the greedy never reads
+  // tau: one sweep's anchor cliques, filtered by their smaller side,
+  // answer every tau.
+  const std::vector<BalancedClique> by_min_side =
+      MbcHeuristicByMinSide(graph, options);
+  result.beta = static_cast<uint32_t>(by_min_side.size() - 1);
+  if (kind == QueryKind::kGmbc) {
+    for (const BalancedClique& clique : by_min_side) {
       result.gmbc_sizes.push_back(static_cast<uint32_t>(clique.size()));
     }
   }

@@ -24,11 +24,11 @@ namespace mbc {
 /// kMbcHeu / kMbcTol, whose degraded answer is the same greedy clique —
 /// a balanced clique frustrates no edge, so it is feasible under every
 /// tolerance budget): the best anchored greedy clique satisfying tau
-/// (possibly empty). kPf / kGmbc: the sweep runs at tau = 0, 1, ... and
-/// stops at the first empty result; beta is the last tau that returned a
+/// (possibly empty). kPf / kGmbc: one sweep answers every tau = 0, 1, ...
+/// up to the first one without a clique; beta is the last tau with a
 /// clique, and kGmbc records the clique size at every tau in [0, beta].
 /// Deterministic for a given graph; O(m) time per anchor for a handful of
-/// anchors, once per tau for kPf / kGmbc.
+/// anchors, once per query whatever the kind.
 QueryResult ComputeDegradedResult(const SignedGraph& graph, QueryKind kind,
                                   uint32_t tau);
 

@@ -2,11 +2,16 @@
 #include "src/core/reductions.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/brute_force.h"
 #include "src/core/verify.h"
+#include "src/datasets/generators.h"
+#include "src/graph/signed_graph_builder.h"
 #include "tests/test_util.h"
 
 namespace mbc {
@@ -57,6 +62,84 @@ TEST(VertexReductionTest, PreservesQualifyingCliques) {
       }
     }
   }
+}
+
+// Reference fixpoint: recount every live vertex's degrees against the live
+// set and drop every violator at once, until a round drops nothing.
+std::vector<uint8_t> NaiveVertexReduction(const SignedGraph& graph,
+                                          uint32_t tau) {
+  const VertexId n = graph.NumVertices();
+  std::vector<uint8_t> alive(n, 1);
+  if (tau == 0) return alive;
+  for (bool changed = true; changed;) {
+    changed = false;
+    std::vector<uint8_t> next = alive;
+    for (VertexId v = 0; v < n; ++v) {
+      if (!alive[v]) continue;
+      uint32_t pos = 0;
+      uint32_t neg = 0;
+      for (VertexId u : graph.PositiveNeighbors(v)) pos += alive[u];
+      for (VertexId u : graph.NegativeNeighbors(v)) neg += alive[u];
+      if (pos < tau - 1 || neg < tau) {
+        next[v] = 0;
+        changed = true;
+      }
+    }
+    alive = std::move(next);
+  }
+  return alive;
+}
+
+// Two sides of `half` vertices each, positive inside a side, negative
+// across: every vertex has d+ = half-1 and d- = half, so all of them
+// survive every τ <= half and none survives τ = half+1.
+SignedGraph CompleteBalancedGraph(VertexId half) {
+  SignedGraphBuilder builder(2 * half);
+  for (VertexId a = 0; a < 2 * half; ++a) {
+    for (VertexId b = a + 1; b < 2 * half; ++b) {
+      builder.AddEdge(a, b, (a < half) == (b < half) ? Sign::kPositive
+                                                      : Sign::kNegative);
+    }
+  }
+  return std::move(builder).Build();
+}
+
+TEST(VertexReductionTest, MatchesNaiveRecountUntilStable) {
+  std::vector<std::pair<std::string, SignedGraph>> graphs;
+  graphs.emplace_back("figure2", Figure2Graph());
+  for (uint64_t seed : {3u, 11u}) {
+    graphs.emplace_back("random" + std::to_string(seed),
+                        RandomSignedGraph(400, 4000, 0.45, seed));
+  }
+  CommunityGraphOptions community;
+  community.num_vertices = 600;
+  community.num_edges = 15000;
+  community.num_communities = 4;
+  community.negative_ratio = 0.4;
+  community.seed = 202;
+  graphs.emplace_back("community", GenerateCommunitySignedGraph(community));
+  BsclOptions bscl;
+  bscl.num_vertices = 20000;
+  bscl.num_edges = 100000;
+  bscl.seed = 7;
+  graphs.emplace_back("bscl", GenerateBsclSignedGraph(bscl));
+  graphs.emplace_back("complete5", CompleteBalancedGraph(5));
+  graphs.emplace_back("complete6", CompleteBalancedGraph(6));
+
+  for (const auto& [name, graph] : graphs) {
+    for (uint32_t tau = 0; tau <= 6; ++tau) {
+      EXPECT_EQ(VertexReductionMask(graph, tau),
+                NaiveVertexReduction(graph, tau))
+          << name << " tau=" << tau;
+    }
+  }
+  // The edge cases at τ = 6: every vertex of complete6 survives, no
+  // vertex of complete5 does.
+  const std::vector<uint8_t> all = VertexReductionMask(graphs.back().second, 6);
+  EXPECT_EQ(std::count(all.begin(), all.end(), 1), 12);
+  const std::vector<uint8_t> none =
+      VertexReductionMask(graphs[graphs.size() - 2].second, 6);
+  EXPECT_EQ(std::count(none.begin(), none.end(), 1), 0);
 }
 
 TEST(ApplyVertexReductionTest, MappingIsConsistent) {

@@ -9,7 +9,8 @@
 // MbcHeuristicSearch (degeneracy anchors on, the brownout configuration)
 // must return its witness and its greedy size on seeded community, random
 // and hub-heavy BSCL graphs at tau 0..4, and on hand-made corner cases of
-// the first pick.
+// the first pick; MbcHeuristicByMinSide must return the witness of every
+// tau in one table.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -162,7 +163,7 @@ size_t ReferenceGreedySize(const std::vector<BalancedClique>& cliques) {
 // ---- Comparison ---------------------------------------------------------
 
 // MbcHeuristic and the greedy-only MbcHeuristicSearch against the
-// reference at tau 0..4.
+// reference at tau 0..4, and MbcHeuristicByMinSide at every tau.
 void ExpectMatchesReference(const std::string& name,
                             const SignedGraph& graph) {
   const std::vector<BalancedClique> plain = ReferenceAnchorCliques(graph, 0);
@@ -177,6 +178,19 @@ void ExpectMatchesReference(const std::string& name,
         << name << " MbcHeuristicSearch tau=" << tau;
     EXPECT_EQ(search.stats.greedy_size, ReferenceGreedySize(pooled))
         << name << " greedy_size tau=" << tau;
+  }
+  // The one-sweep table holds the per-tau answer up to the last tau with
+  // a clique, and every larger tau has none.
+  const std::vector<BalancedClique> by_min_side =
+      MbcHeuristicByMinSide(graph, greedy_only);
+  for (uint32_t tau = 0; tau <= by_min_side.size(); ++tau) {
+    const BalancedClique want = ReferenceBest(pooled, tau);
+    if (tau < by_min_side.size()) {
+      EXPECT_FALSE(want.empty()) << name << " by_min_side tau=" << tau;
+      EXPECT_EQ(by_min_side[tau], want) << name << " by_min_side tau=" << tau;
+    } else {
+      EXPECT_TRUE(want.empty()) << name << " by_min_side tau=" << tau;
+    }
   }
 }
 

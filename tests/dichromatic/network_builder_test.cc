@@ -173,8 +173,7 @@ TEST(NetworkBuilderTest, CliquesAreBalancedInOriginal) {
 // --- Brute-force reference ---------------------------------------------
 //
 // The builder finds each member-member edge once, from its lower endpoint
-// (orientation bits for ranked builds, the id-sorted suffix for unranked
-// ones). The reference below instead asks HasPositiveEdge/HasNegativeEdge
+// (out-lists for ranked builds, the id-sorted suffix for unranked ones). The reference below instead asks HasPositiveEdge/HasNegativeEdge
 // for every member pair, so any edge the one-sided scan misses or counts
 // twice shows up as a mismatch.
 
@@ -277,9 +276,9 @@ TEST(NetworkBuilderTest, MatchesBruteForceOnRandomGraphs) {
   }
 }
 
-// A BSCL graph has a few hubs whose lists span many 64-bit orientation
-// words. Build the egos of the hubs, of their neighbours and of a spread
-// of other vertices, ranked and unranked.
+// A BSCL graph has a few hubs with lists of hundreds of neighbours. Build
+// the egos of the hubs, of their neighbours and of a spread of other
+// vertices, ranked and unranked.
 TEST(NetworkBuilderTest, MatchesBruteForceOnHubHeavyBscl) {
   BsclOptions options;
   options.num_vertices = 3000;
@@ -324,32 +323,14 @@ TEST(NetworkBuilderTest, MatchesBruteForceOnHubHeavyBscl) {
   }
 }
 
-// The orientation walk masks the first and last word of every list. Make
-// sure the test graph has lists that start and end mid-word and span more
-// than 64 entries (so whole middle words are read too), and lists that
-// start and end inside one word, then check every ego against the
-// reference with the members' highest ranks first and last.
-TEST(NetworkBuilderTest, MatchesBruteForceAcrossWordBoundaries) {
+// Under ascending ranks every out-list is the id-sorted suffix above its
+// owner, under descending ones the prefix below it: check every ego of a
+// dense graph against the reference with the members' highest ranks first
+// and last.
+TEST(NetworkBuilderTest, MatchesBruteForceUnderMonotoneRanks) {
   const SignedGraph graph =
       testing_util::RandomSignedGraph(300, 12000, 0.45, 41);
   const VertexId n = graph.NumVertices();
-  auto count_lists = [&](std::span<const uint64_t> offsets, bool long_list) {
-    uint32_t count = 0;
-    for (VertexId x = 0; x < n; ++x) {
-      const uint64_t begin = offsets[x];
-      const uint64_t end = offsets[x + 1];
-      if (begin % 64 == 0 || end % 64 == 0) continue;
-      const bool spans = end - begin > 64;
-      const bool one_word = end > begin && begin / 64 == (end - 1) / 64;
-      count += long_list ? spans : one_word;
-    }
-    return count;
-  };
-  ASSERT_GT(count_lists(graph.PosOffsets(), true), 0u);
-  ASSERT_GT(count_lists(graph.NegOffsets(), true), 0u);
-  ASSERT_GT(count_lists(graph.PosOffsets(), false), 0u);
-  ASSERT_GT(count_lists(graph.NegOffsets(), false), 0u);
-
   std::vector<uint32_t> ascending(n);
   std::iota(ascending.begin(), ascending.end(), 0u);
   std::vector<uint32_t> descending(n);
@@ -368,8 +349,8 @@ TEST(NetworkBuilderTest, MatchesBruteForceAcrossWordBoundaries) {
 }
 
 // One builder serves ranked and unranked calls in turn and switches
-// between two rank arrays: the orientation bits must follow the array
-// each call passes, and unranked calls must not depend on them.
+// between two rank arrays: the out-lists must follow the array each call
+// passes, and unranked calls must not depend on them.
 TEST(NetworkBuilderTest, ReusedAcrossRankArraysAndUnrankedCalls) {
   const SignedGraph graph =
       testing_util::RandomSignedGraph(150, 2500, 0.35, 23);
@@ -395,6 +376,82 @@ TEST(NetworkBuilderTest, ReusedAcrossRankArraysAndUnrankedCalls) {
       ExpectMatchesBruteForce(graph, u, shuffled.data(), alive.data(), net,
                               "shuffled+alive" + at);
     }
+  }
+}
+
+// The out-lists are rebuilt only when the rank pointer changes. Rewrite
+// one rank vector in place (same address, new contents) between ranked
+// builds: the builder keeps out-lists oriented by the old contents, which
+// must cost time only. Every network still matches the reference under
+// the contents of the call, from the builder's own out-lists and from
+// shared ones built once before the first rewrite.
+TEST(NetworkBuilderTest, RankRewrittenInPlaceStillMatchesBruteForce) {
+  const SignedGraph graph =
+      testing_util::RandomSignedGraph(150, 2500, 0.35, 31);
+  const VertexId n = graph.NumVertices();
+  const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
+  std::vector<uint32_t> rank = degeneracy.rank;
+  const uint32_t* address = rank.data();
+  const std::vector<uint8_t> alive = RandomAlive(n, 13);
+  RankedOutLists shared;
+  shared.Build(graph, rank.data());
+  DichromaticNetworkBuilder own(graph);
+  DichromaticNetworkBuilder sharing(graph, &shared);
+  DichromaticNetwork net;
+  for (uint64_t round = 0; round < 4; ++round) {
+    for (VertexId u = 0; u < n; ++u) {
+      const std::string at =
+          " round=" + std::to_string(round) + " u=" + std::to_string(u);
+      for (DichromaticNetworkBuilder* builder : {&own, &sharing}) {
+        const std::string label = builder == &own ? "own" : "shared";
+        builder->BuildInto(u, rank.data(), nullptr, &net);
+        ExpectMatchesBruteForce(graph, u, rank.data(), nullptr, net,
+                                label + at);
+        if (alive[u] != 0) {
+          builder->BuildInto(u, rank.data(), alive.data(), &net);
+          ExpectMatchesBruteForce(graph, u, rank.data(), alive.data(), net,
+                                  label + "+alive" + at);
+        }
+      }
+    }
+    // New contents at the same address: a reversal, then shuffles.
+    if (round == 0) {
+      for (uint32_t& r : rank) r = n - 1 - r;
+    } else {
+      const std::vector<uint32_t> shuffled = ShuffledRank(n, 100 + round);
+      std::copy(shuffled.begin(), shuffled.end(), rank.begin());
+    }
+    ASSERT_EQ(rank.data(), address);
+  }
+}
+
+// A builder given shared out-lists reads them for their own rank array
+// and falls back to out-lists of its own for any other, ranked or not.
+TEST(NetworkBuilderTest, SharedOutListsServeOnlyTheirRankArray) {
+  const SignedGraph graph =
+      testing_util::RandomSignedGraph(150, 2500, 0.35, 37);
+  const VertexId n = graph.NumVertices();
+  const DegeneracyResult degeneracy = DegeneracyDecompose(graph);
+  const std::vector<uint32_t> shuffled = ShuffledRank(n, 41);
+  RankedOutLists shared;
+  shared.Build(graph, degeneracy.rank.data());
+  ASSERT_EQ(shared.rank(), degeneracy.rank.data());
+  DichromaticNetworkBuilder first(graph, &shared);
+  DichromaticNetworkBuilder second(graph, &shared);
+  DichromaticNetwork net;
+  for (VertexId u = 0; u < n; ++u) {
+    const std::string at = " u=" + std::to_string(u);
+    for (DichromaticNetworkBuilder* builder : {&first, &second}) {
+      builder->BuildInto(u, degeneracy.rank.data(), nullptr, &net);
+      ExpectMatchesBruteForce(graph, u, degeneracy.rank.data(), nullptr, net,
+                              "degeneracy" + at);
+    }
+    first.BuildInto(u, shuffled.data(), nullptr, &net);
+    ExpectMatchesBruteForce(graph, u, shuffled.data(), nullptr, net,
+                            "shuffled" + at);
+    first.BuildInto(u, nullptr, nullptr, &net);
+    ExpectMatchesBruteForce(graph, u, nullptr, nullptr, net,
+                            "unranked" + at);
   }
 }
 
